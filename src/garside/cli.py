@@ -128,11 +128,10 @@ def cmd_conj(args, rep: Reporter) -> int:
 def cmd_summit(args, rep: Reporter) -> int:
     germ = load_germ(args)
     (g,) = get_words(args, germ, 1)
-    budget = Budget(args.budget)
-    witness = conjugacy.to_summit(germ, g, budget)
-    _nf_report(rep, germ, witness.h, "summit")
-    rep.add("summit_conjugator", words.format_word(germ, witness.c))
-    sset = conjugacy.summit_set(germ, g, budget)
+    sset = conjugacy.summit_set(germ, g, Budget(args.budget))
+    summit, conjugator = next(iter(sset.items()))
+    _nf_report(rep, germ, summit, "summit")
+    rep.add("summit_conjugator", words.format_word(germ, conjugator))
     rep.add("summit_set_size", len(sset))
     for i, h in enumerate(sorted(sset, key=lambda m: (m.source, m.delta_exp, m.factors))):
         rep.add(f"summit_{i}", words.format_word(germ, h))
@@ -163,7 +162,7 @@ def cmd_divide(args, rep: Reporter) -> int:
     rep.add("objects", total)
     for oid in sorted(counts):
         rep.add(f"objects_at_{germ.object_name(oid)}", counts[oid])
-    dg = divided.build_divided_germ(germ, args.m, parallel=args.parallel)
+    dg = divided.build_divided_germ(germ, args.m)
     rep.add("simples", len(dg.germ.simples))
     rep.add("atoms", len(dg.germ.atoms))
     rep.add("phi_order", dg.germ.phi_order)
@@ -176,7 +175,7 @@ def cmd_divide(args, rep: Reporter) -> int:
 def cmd_theta(args, rep: Reporter) -> int:
     germ = load_germ(args)
     (f,) = get_words(args, germ, 1)
-    dg = divided.build_divided_germ(germ, args.m, parallel=args.parallel)
+    dg = divided.build_divided_germ(germ, args.m)
     img = divided.theta_morphism(dg, f)
     _nf_report(rep, dg.germ, img, "theta")
     return EXIT_OK
@@ -204,12 +203,8 @@ def cmd_periodic(args, rep: Reporter) -> int:
         f"Bestvina form: ({germ.simple_name(bf.s)}, k={bf.k})",
     )
     rep.add("bestvina_conjugator", words.format_word(germ, bf.conjugator))
-    under = periodic.bestvina_object(germ, bf)
-    rep.add(
-        "bestvina_object",
-        "(" + ",".join(germ.simple_name(s) for s in under) + ")",
-        "object: (" + ",".join(germ.simple_name(s) for s in under) + ")",
-    )
+    under = divided.tuple_name(germ, periodic.bestvina_object(germ, bf))
+    rep.add("bestvina_object", under, f"object: {under}")
     nc = periodic.necklace_conjugator(germ, bf)
     rep.add("necklace_conjugator", words.format_word(nc.divided.germ, nc.conjugator))
     rep.add("conjugation", "verified", "conjugation verified")
@@ -218,12 +213,10 @@ def cmd_periodic(args, rep: Reporter) -> int:
 
 def cmd_classify(args, rep: Reporter) -> int:
     germ = load_germ(args)
-    cl = periodic.classify_periodic(germ, args.p, args.q, parallel=args.parallel)
+    cl = periodic.classify_periodic(germ, args.p, args.q)
     rep.add("classes", len(cl.components))
     for i, (comp, r) in enumerate(zip(cl.components, cl.representatives)):
-        names = " ".join(
-            "(" + ",".join(germ.simple_name(s) for s in t) + ")" for t in comp
-        )
+        names = " ".join(divided.tuple_name(germ, t) for t in comp)
         rep.add(f"class_{i}_objects", names)
         rep.add(f"class_{i}_representative", words.format_word(germ, r))
     return EXIT_OK
@@ -343,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--certify", action="store_true")
         p.add_argument("--out", help="output file for exports")
         p.add_argument("--budget", type=int, default=2_000_000)
-        p.add_argument("--parallel", action="store_true")
         p.add_argument("--json-like", dest="json_like", action="store_true")
     return parser
 

@@ -20,9 +20,9 @@ from .germ import (
     GermError,
     GermValidationError,
     as_budget,
+    assemble_table,
     check_automorphism,
     components,
-    make_table,
     validate,
 )
 from .words import (
@@ -109,7 +109,9 @@ def summit_set(
 ) -> dict[NormalForm, NormalForm]:
     """
     The full summit set of g, as a map summit -> conjugator (from g).
-    BFS closure under conjugation by simples preserving (inf, sup).
+    BFS closure under conjugation by simples preserving (inf, sup). The first
+    entry is the to_summit witness: the summit reached by cycling and
+    decycling g, with its conjugator.
     """
     budget = as_budget(budget)
     first = to_summit(germ, g, budget)
@@ -187,42 +189,33 @@ def fixed_subgerm(germ: GarsideGerm, psi: Automorphism) -> FixedGermReport:
     for oid in fixed_objs:
         if psi.on_simple(germ.delta[oid]) != germ.delta[oid]:
             raise GermValidationError("psi does not fix delta at a fixed object")
-    obj_set = set(fixed_objs)
-    fixed_simples = [
-        s.id
-        for s in germ.simples
-        if psi.on_simple(s.id) == s.id and s.source in obj_set and s.target in obj_set
-    ]
     if not fixed_objs:
         return FixedGermReport(None, {}, {}, [], {})
 
-    obj_names = [germ.object_name(o) for o in fixed_objs]
-    sid_of_name = {}
-    simples_decl = []
-    for sid in fixed_simples:
-        s = germ.simples[sid]
-        sid_of_name[s.name] = sid
-        if s.length > 0:
-            simples_decl.append(
-                (s.name, germ.object_name(s.source), germ.object_name(s.target), s.length)
-            )
-    keep = set(fixed_simples)
-    products = [
-        (germ.simple_name(a), germ.simple_name(b), germ.simple_name(c))
-        for (a, b), c in germ.product.items()
-        if a in keep and b in keep and not germ.is_identity(a) and not germ.is_identity(b)
+    # The subgerm's GermTable layout: identities at the fixed objects, then
+    # the other invariant simples between fixed objects, in ambient order.
+    obj_pos = {o: i for i, o in enumerate(fixed_objs)}
+    steps = [
+        s for s in germ.simples
+        if s.length > 0 and psi.on_simple(s.id) == s.id
+        and s.source in obj_pos and s.target in obj_pos
     ]
-    for (_, _, cname) in products:
-        if sid_of_name.get(cname) is None:
-            raise GermValidationError("product of invariant simples is not invariant")
-    deltas = {germ.object_name(o): germ.simple_name(germ.delta[o]) for o in fixed_objs}
-    table = make_table(obj_names, simples_decl, products, deltas)
-    sub = validate(table)
+    inclusion = [germ.identity[o] for o in fixed_objs] + [s.id for s in steps]
+    sub_id = {amb: i for i, amb in enumerate(inclusion)}
+    products = []
+    for (a, b), c in germ.product.items():
+        if a in sub_id and b in sub_id and not germ.is_identity(a) and not germ.is_identity(b):
+            if c not in sub_id:
+                raise GermValidationError("product of invariant simples is not invariant")
+            products.append((sub_id[a], sub_id[b], sub_id[c]))
+    simples = [(s.name, obj_pos[s.source], obj_pos[s.target], s.length) for s in steps]
+    delta = {i: sub_id[germ.delta[o]] for i, o in enumerate(fixed_objs)}
+    sub = validate(assemble_table(
+        [germ.object_name(o) for o in fixed_objs], simples, products, delta
+    ))
 
-    object_inclusion = {i: fixed_objs[i] for i in range(len(fixed_objs))}
-    simple_inclusion = {
-        s.id: germ.simple_named(s.name) for s in sub.simples
-    }
+    object_inclusion = dict(enumerate(fixed_objs))
+    simple_inclusion = dict(enumerate(inclusion))
     # Every subgerm atom is the psi_* closure of any ambient atom below it.
     atoms_realized = {}
     for b in sub.atoms:

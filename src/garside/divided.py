@@ -9,16 +9,17 @@ germ (indices wrap with a φ twist: s_{m+1} = φ(s_1)). The Garside map at f is
 the shift ladder with columns (f_1, ..., f_m), and the diagram automorphism is
 the cyclic shift (f_1, ..., f_m) -> (f_2, ..., f_m, φ(f_1)).
 
-The construction is assembled as a plain germ table and pushed through the
-full validator; a validation failure here means a bug, not bad input.
+The construction is assembled as a plain germ table from ids and pushed
+through the full validator; a validation failure here means a bug, not bad
+input. Names (a subdivision prints as its factor tuple) serve display only.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
-from .germ import GarsideGerm, GermError, make_table, validate
+from .germ import GarsideGerm, GermError, assemble_table, validate
 from .words import NormalForm, identity_nf, invert, multiply, normal_form
 
 DividedObject = tuple[int, ...]
@@ -43,19 +44,11 @@ def subdivisions_of(germ: GarsideGerm, oid: int, m: int) -> list[DividedObject]:
     return sorted(out)
 
 
-def enumerate_subdivisions(
-    germ: GarsideGerm, m: int, parallel: bool = False
-) -> list[DividedObject]:
-    """All m-subdivisions of every Δ_x; deterministic order regardless of schedule."""
+def enumerate_subdivisions(germ: GarsideGerm, m: int) -> list[DividedObject]:
+    """All m-subdivisions of every Δ_x, in id-lexicographic order."""
     if m < 1:
         raise GermError("m must be a positive integer")
-    oids = [o.id for o in germ.objects]
-    if parallel and len(oids) > 1:
-        with ThreadPoolExecutor() as pool:
-            chunks = list(pool.map(lambda o: subdivisions_of(germ, o, m), oids))
-    else:
-        chunks = [subdivisions_of(germ, o, m) for o in oids]
-    return sorted(x for chunk in chunks for x in chunk)
+    return sorted(f for o in germ.objects for f in subdivisions_of(germ, o.id, m))
 
 
 def count_subdivisions(germ: GarsideGerm, m: int) -> dict[int, int]:
@@ -132,6 +125,11 @@ def ladders_between(
     return [lad for lad in ladders_from(germ, f) if lad.tgt == g]
 
 
+def tuple_name(germ: GarsideGerm, f: tuple[int, ...]) -> str:
+    """Display name of a tuple of simples, e.g. a subdivision: (s,t,s)."""
+    return "(" + ",".join(germ.simple_name(s) for s in f) + ")"
+
+
 @dataclass
 class DividedGerm:
     """The validated m-divided germ plus the dictionaries tying it to the base."""
@@ -153,97 +151,55 @@ class DividedGerm:
             raise GermError("not a ladder of the divided germ")
         return sid
 
-    def object_tuple_name(self, f: DividedObject) -> str:
-        return "(" + ",".join(self.base.simple_name(s) for s in f) + ")"
 
-
-def _object_name(base: GarsideGerm, f: DividedObject) -> str:
-    return "(" + ",".join(base.simple_name(s) for s in f) + ")"
-
-
-def build_divided_germ(
-    germ: GarsideGerm, m: int, parallel: bool = False
-) -> DividedGerm:
+def build_divided_germ(germ: GarsideGerm, m: int) -> DividedGerm:
     """Construct and fully validate the m-divided germ."""
-    objs = enumerate_subdivisions(germ, m, parallel=parallel)
+    objs = enumerate_subdivisions(germ, m)
     object_ix = {f: i for i, f in enumerate(objs)}
-    obj_names = [_object_name(germ, f) for f in objs]
-
-    if parallel and len(objs) > 1:
-        with ThreadPoolExecutor() as pool:
-            per_obj = list(pool.map(lambda f: ladders_from(germ, f), objs))
-    else:
-        per_obj = [ladders_from(germ, f) for f in objs]
-    ladders = [lad for chunk in per_obj for lad in chunk]
+    ladders = [lad for f in objs for lad in ladders_from(germ, f)]
     for lad in ladders:
         if lad.tgt not in object_ix:
             raise GermError("ladder target escapes the subdivision set")
 
-    # Non-identity ladders need unique names; identical column tuples can
-    # occur at distinct sources, so disambiguate with the source when needed.
-    def col_name(lad: Ladder) -> str:
-        return "lad(" + ",".join(germ.simple_name(c) for c in lad.columns) + ")"
-
-    by_col: dict[str, int] = {}
-    for lad in ladders:
-        by_col[col_name(lad)] = by_col.get(col_name(lad), 0) + 1
-    lengths = {lad: sum(germ.simples[c].length for c in lad.columns) for lad in ladders}
-    names: dict[Ladder, str] = {}
-    for lad in ladders:
-        if lengths[lad] == 0:
-            names[lad] = f"id@{_object_name(germ, lad.src)}"
-            continue
-        base_name = col_name(lad)
-        if by_col[base_name] > 1:
-            base_name += "@" + _object_name(germ, lad.src)
-        names[lad] = base_name
-
-    simples_decl = [
-        (names[lad], _object_name(germ, lad.src), _object_name(germ, lad.tgt), lengths[lad])
-        for lad in ladders
-        if lengths[lad] > 0
-    ]
+    # Simple ids follow the GermTable layout: the identity ladder at objs[i]
+    # (the only one of length 0 there) is simple i, the others follow.
+    length = {lad: sum(germ.simples[c].length for c in lad.columns) for lad in ladders}
+    order = [lad for lad in ladders if length[lad] == 0]
+    order += [lad for lad in ladders if length[lad] > 0]
+    ladder_of = dict(enumerate(order))
+    simple_ix = {(lad.src, lad.columns): sid for sid, lad in ladder_of.items()}
 
     # Partial product: columnwise base products, defined when every column
     # multiplies and the result is again a ladder from the same source.
-    lad_ix = {(lad.src, lad.columns): lad for lad in ladders}
+    by_src: dict[DividedObject, list[int]] = {}
+    for b in range(len(objs), len(order)):
+        by_src.setdefault(order[b].src, []).append(b)
     products = []
-    by_src: dict[DividedObject, list[Ladder]] = {}
-    for lad in ladders:
-        by_src.setdefault(lad.src, []).append(lad)
-    for s in ladders:
-        if lengths[s] == 0:
-            continue
-        for t in by_src.get(s.tgt, ()):
-            if lengths[t] == 0:
-                continue
-            cols = []
-            for a, b in zip(s.columns, t.columns):
-                c = germ.product_of(a, b)
-                if c is None:
-                    break
-                cols.append(c)
-            else:
-                st = lad_ix.get((s.src, tuple(cols)))
-                if st is not None:
-                    products.append((names[s], names[t], names[st]))
+    for a in range(len(objs), len(order)):
+        s = order[a]
+        for b in by_src.get(s.tgt, ()):
+            cols = tuple(germ.product_of(x, y) for x, y in zip(s.columns, order[b].columns))
+            c = simple_ix.get((s.src, cols))
+            if c is not None:
+                products.append((a, b, c))
 
-    deltas = {}
-    for f in objs:
-        shift = lad_ix.get((f, f))
-        if shift is None:
+    delta = {}
+    for i, f in enumerate(objs):
+        if (f, f) not in simple_ix:
             raise GermError("shift ladder missing; base germ is not Garside")
-        deltas[_object_name(germ, f)] = names[shift]
+        delta[i] = simple_ix[(f, f)]
 
-    table = make_table(obj_names, simples_decl, products, deltas)
-    dgerm = validate(table)
-
-    ladder_of: dict[int, Ladder] = {}
-    simple_ix: dict[tuple[DividedObject, tuple[int, ...]], int] = {}
-    for lad in ladders:
-        sid = dgerm.simple_named(names[lad])
-        ladder_of[sid] = lad
-        simple_ix[(lad.src, lad.columns)] = sid
+    # Non-identity ladders need unique names; identical column tuples can
+    # occur at distinct sources, so disambiguate with the source when needed.
+    col_names = [tuple_name(germ, lad.columns) for lad in order]
+    uses = Counter(col_names)
+    simples = [
+        (f"lad{n}" + (f"@{tuple_name(germ, lad.src)}" if uses[n] > 1 else ""),
+         object_ix[lad.src], object_ix[lad.tgt], length[lad])
+        for n, lad in zip(col_names[len(objs):], order[len(objs):])
+    ]
+    obj_names = [tuple_name(germ, f) for f in objs]
+    dgerm = validate(assemble_table(obj_names, simples, products, delta))
     dg = DividedGerm(dgerm, germ, m, objs, object_ix, ladder_of, simple_ix)
 
     # Cross-check the derived automorphism against the defining cyclic shift.

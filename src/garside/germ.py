@@ -96,6 +96,32 @@ class GermTable:
     declared_delta: dict[int, int]       # object id -> simple id, from explicit `delta` lines
 
 
+def assemble_table(
+    objects: list[str],
+    simples: list[tuple[str, int, int, int]],
+    products: list[tuple[int, int, int]],
+    delta: dict[int, int],
+) -> GermTable:
+    """
+    Lay out a GermTable from ids. Identities come first, one per object in
+    object order (so identity[x] = x); the given (name, source, target,
+    length) simples follow in order, so the i-th has id len(objects) + i.
+    Products and delta refer to these ids; the unit products are added.
+    """
+    n = len(objects)
+    refs = [SimpleRef(x, f"id@{name}", x, x, 0) for x, name in enumerate(objects)]
+    refs += [SimpleRef(n + i, *decl) for i, decl in enumerate(simples)]
+    # Identities are two-sided units, everywhere defined.
+    product: dict[tuple[int, int], int] = {}
+    for s in refs:
+        product[(s.source, s.id)] = s.id
+        product[(s.id, s.target)] = s.id
+    for a, b, c in products:
+        product[(a, b)] = c
+    obj_refs = [ObjectRef(x, name) for x, name in enumerate(objects)]
+    return GermTable(obj_refs, refs, product, list(range(n)), dict(delta))
+
+
 def make_table(
     objects: list[str],
     simples: list[tuple[str, str, str, int]],
@@ -103,40 +129,25 @@ def make_table(
     deltas: dict[str, str] | None = None,
 ) -> GermTable:
     """Assemble a GermTable from names; identities and identity products are added."""
-    obj_refs: list[ObjectRef] = []
     obj_ix: dict[str, int] = {}
-    simple_refs: list[SimpleRef] = []
-    simple_ix: dict[str, int] = {}
-    identity: list[int] = []
-
-    def add_simple(name: str, src: int, tgt: int, length: int) -> int:
-        if name in simple_ix:
-            raise GermSyntaxError(f"duplicate simple name {name!r}")
-        sid = len(simple_refs)
-        simple_refs.append(SimpleRef(sid, name, src, tgt, length))
-        simple_ix[name] = sid
-        return sid
-
     for name in objects:
         if name in obj_ix:
             raise GermSyntaxError(f"duplicate object name {name!r}")
-        oid = len(obj_refs)
-        obj_refs.append(ObjectRef(oid, name))
-        obj_ix[name] = oid
-        identity.append(add_simple(f"id@{name}", oid, oid, 0))
-
+        obj_ix[name] = len(obj_ix)
+    simple_ix = {f"id@{name}": oid for name, oid in obj_ix.items()}
+    decls = []
     for name, src, tgt, length in simples:
         if src not in obj_ix or tgt not in obj_ix:
             raise GermSyntaxError(f"simple {name!r} references unknown object")
         if length <= 0:
             raise GermSyntaxError(f"simple {name!r} must have positive length")
-        add_simple(name, obj_ix[src], obj_ix[tgt], length)
+        if name in simple_ix:
+            raise GermSyntaxError(f"duplicate simple name {name!r}")
+        simple_ix[name] = len(simple_ix)
+        decls.append((name, obj_ix[src], obj_ix[tgt], length))
+    table = assemble_table(objects, decls, [], {})
+    simple_refs, product = table.simples, table.product
 
-    product: dict[tuple[int, int], int] = {}
-    # Identities are two-sided units, everywhere defined.
-    for s in simple_refs:
-        product[(identity[s.source], s.id)] = s.id
-        product[(s.id, identity[s.target])] = s.id
     for a, b, c in products:
         for nm in (a, b, c):
             if nm not in simple_ix:
@@ -157,7 +168,6 @@ def make_table(
             raise GermSyntaxError(f"conflicting products declared for {a} {b}")
         product[key] = sc.id
 
-    declared: dict[int, int] = {}
     for oname, sname in (deltas or {}).items():
         if oname not in obj_ix or sname not in simple_ix:
             raise GermSyntaxError(f"delta line references unknown name")
@@ -165,8 +175,8 @@ def make_table(
         sid = simple_ix[sname]
         if simple_refs[sid].source != oid:
             raise GermSyntaxError(f"delta {oname} = {sname}: source mismatch")
-        declared[oid] = sid
-    return GermTable(obj_refs, simple_refs, product, identity, declared)
+        table.declared_delta[oid] = sid
+    return table
 
 
 def parse_germ(text: str) -> GermTable:
@@ -516,31 +526,10 @@ def validate(table: GermTable) -> GarsideGerm:
 
     # φ = double complement; must be a germ automorphism.
     germ.phi_simple = [germ.complement_[germ.complement_[s.id]] for s in simples]
-    if sorted(germ.phi_simple) != list(range(len(simples))):
-        raise GermValidationError("double complement is not a permutation of simples")
+    check_automorphism(germ, Automorphism(tuple(germ.phi_obj), tuple(germ.phi_simple)), "phi")
     germ.phi_simple_inv = [0] * len(simples)
     for a, b in enumerate(germ.phi_simple):
         germ.phi_simple_inv[b] = a
-    for s in simples:
-        img = simples[germ.phi_simple[s.id]]
-        if (
-            img.source != germ.phi_obj[s.source]
-            or img.target != germ.phi_obj[s.target]
-            or img.length != s.length
-        ):
-            raise GermValidationError(f"phi does not preserve the graph at {s.name!r}")
-    for (a, b), c in product.items():
-        pc = product.get((germ.phi_simple[a], germ.phi_simple[b]))
-        if pc != germ.phi_simple[c]:
-            raise GermValidationError(
-                f"phi does not preserve the product {simples[a].name}·{simples[b].name}"
-            )
-    for (a, b) in product:
-        if (germ.phi_simple_inv[a], germ.phi_simple_inv[b]) not in product:
-            raise GermValidationError("phi inverse does not preserve definedness")
-    for oid in range(len(germ.objects)):
-        if germ.phi_simple[germ.delta[oid]] != germ.delta[germ.phi_obj[oid]]:
-            raise GermValidationError("phi does not map delta to delta")
 
     germ.phi_order = _permutation_order(germ.phi_simple)
 
@@ -648,12 +637,12 @@ def phi_automorphism(germ: GarsideGerm, power: int = 1) -> Automorphism:
     return psi
 
 
-def check_automorphism(germ: GarsideGerm, psi: Automorphism) -> None:
-    """Raise unless psi is an automorphism of the Garside structure."""
+def check_automorphism(germ: GarsideGerm, psi: Automorphism, name: str = "psi") -> None:
+    """Raise unless psi is an automorphism of the Garside structure; errors say `name`."""
     if sorted(psi.obj_map) != list(range(len(germ.objects))):
-        raise GermValidationError("psi does not permute objects")
+        raise GermValidationError(f"{name} does not permute objects")
     if sorted(psi.simple_map) != list(range(len(germ.simples))):
-        raise GermValidationError("psi does not permute simples")
+        raise GermValidationError(f"{name} does not permute simples")
     for s in germ.simples:
         img = germ.simples[psi.on_simple(s.id)]
         if (
@@ -661,21 +650,21 @@ def check_automorphism(germ: GarsideGerm, psi: Automorphism) -> None:
             or img.target != psi.on_obj(s.target)
             or img.length != s.length
         ):
-            raise GermValidationError(f"psi does not preserve the graph at {s.name!r}")
+            raise GermValidationError(f"{name} does not preserve the graph at {s.name!r}")
     inv = [0] * len(psi.simple_map)
     for a, b in enumerate(psi.simple_map):
         inv[b] = a
     for (a, b), c in germ.product.items():
         if germ.product.get((psi.on_simple(a), psi.on_simple(b))) != psi.on_simple(c):
-            raise GermValidationError("psi does not preserve the product")
+            raise GermValidationError(f"{name} does not preserve the product")
         if (inv[a], inv[b]) not in germ.product:
-            raise GermValidationError("psi inverse does not preserve definedness")
+            raise GermValidationError(f"{name} inverse does not preserve definedness")
     for sid in range(len(germ.simples)):
         if psi.on_simple(germ.phi_simple[sid]) != germ.phi_simple[psi.on_simple(sid)]:
-            raise GermValidationError("psi does not commute with phi")
+            raise GermValidationError(f"{name} does not commute with phi")
     for oid in range(len(germ.objects)):
         if psi.on_simple(germ.delta[oid]) != germ.delta[psi.on_obj(oid)]:
-            raise GermValidationError("psi does not map delta to delta")
+            raise GermValidationError(f"{name} does not map delta to delta")
 
 
 def germ_isomorphism(g1: GarsideGerm, g2: GarsideGerm) -> dict[int, int] | None:

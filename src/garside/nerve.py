@@ -40,23 +40,15 @@ def _fold_product(germ: GarsideGerm, basepoint: int, factors: tuple[int, ...]) -
 
 
 def garside_dimension(germ: GarsideGerm) -> int:
-    """Longest strict divisibility chain among simples sharing a source."""
-    best = 0
-    for obj in germ.objects:
-        depth: dict[int, int] = {}
-
-        def longest(sid: int) -> int:
-            if sid in depth:
-                return depth[sid]
-            d = 0
-            for c in germ.by_source[obj.id]:
-                if c != sid and sid in germ.left_divs[c]:
-                    d = max(d, 1 + longest(c))
-            depth[sid] = d
-            return d
-
-        best = max(best, longest(germ.identity[obj.id]))
-    return best
+    """
+    Longest strict divisibility chain among simples sharing a source: the
+    longest path in the divisor DAG, filled in order of length (a strict
+    left divisor is shorter), so it needs no recursion.
+    """
+    depth = [0] * len(germ.simples)
+    for sid in sorted(range(len(germ.simples)), key=lambda s: germ.simples[s].length):
+        depth[sid] = max((depth[d] + 1 for d in germ.left_divs[sid] if d != sid), default=0)
+    return max(depth, default=0)
 
 
 def enumerate_simplices(germ: GarsideGerm, n: int) -> list[NerveSimplex]:

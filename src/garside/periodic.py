@@ -36,6 +36,7 @@ from .words import (
     multiply,
     normal_form,
     power,
+    target,
 )
 
 from .conjugacy import FixedGermReport, fixed_subgerm
@@ -257,7 +258,7 @@ def necklace_conjugator(
     under = bestvina_object(germ, bf)
     if dg.objects[c.source] != theta_object(germ, germ.simples[bf.s].source, q):
         raise GermError("conjugator does not start at the theta object")
-    if dg.objects[_nf_target_object(dg, c)] != under:
+    if dg.objects[target(dg.germ, c)] != under:
         raise GermError("conjugator does not end at the Bestvina object")
 
     gamma = normal_form(germ, [bf.s], bf.k)
@@ -268,12 +269,6 @@ def necklace_conjugator(
     if not equal(lhs, rhs):
         raise GermError("necklace conjugation equation failed verification")
     return NecklaceConjugation(bf, dg, c, theta, dpow)
-
-
-def _nf_target_object(dg: DividedGerm, f: NormalForm) -> int:
-    from .words import target
-
-    return target(dg.germ, f)
 
 
 def psi_of_beta1(
@@ -300,9 +295,7 @@ class PeriodicClassification:
     representatives: list[NormalForm]       # one (f_1; k) loop per component
 
 
-def classify_periodic(
-    germ: GarsideGerm, p: int, q: int, parallel: bool = False
-) -> PeriodicClassification:
+def classify_periodic(germ: GarsideGerm, p: int, q: int) -> PeriodicClassification:
     """
     Conjugacy classes of p/q-periodic loops, as connected components of the
     φ_q^p-fixed subgerm of the q-divided germ.
@@ -314,7 +307,7 @@ def classify_periodic(
     if (p - 1) % q != 0:
         raise GermError(f"p = {p} is not congruent to 1 mod q = {q}")
     k = (p - 1) // q
-    dg = build_divided_germ(germ, q, parallel=parallel)
+    dg = build_divided_germ(germ, q)
     psi = phi_automorphism(dg.germ, p)
     fixed = fixed_subgerm(dg.germ, psi)
     comps: list[list[DividedObject]] = []

@@ -121,3 +121,26 @@ def brute_summit_set(germ, g: NormalForm, conj_len: int = 6) -> set[NormalForm]:
     best_inf = max(h.inf for h in conjugates)
     best_sup = min(h.sup for h in conjugates)
     return {h for h in conjugates if h.inf == best_inf and h.sup == best_sup}
+
+
+def recursive_garside_dimension(germ) -> int:
+    """
+    Longest strict divisibility chain at each object, by memoised recursion
+    upward from the identity: one stack frame per chain step.
+    """
+    best = 0
+    for obj in germ.objects:
+        depth: dict[int, int] = {}
+
+        def longest(sid: int) -> int:
+            if sid in depth:
+                return depth[sid]
+            d = 0
+            for c in germ.by_source[obj.id]:
+                if c != sid and sid in germ.left_divs[c]:
+                    d = max(d, 1 + longest(c))
+            depth[sid] = d
+            return d
+
+        best = max(best, longest(germ.identity[obj.id]))
+    return best

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from garside import Budget, parse_germ, parse_word, validate
 from garside.cli import main
+from garside.conjugacy import summit_set
 
 DATA = Path(__file__).parent / "data"
 A2 = str(DATA / "a2.germ")
@@ -215,6 +217,19 @@ def test_budget_exit_code(capsys):
     assert code == 3
     code, _ = run(capsys, "summit", "--file", A2, "--word", "s", "--budget", "-4")
     assert code == 2
+
+
+def test_summit_spends_the_summit_set_budget_once(capsys):
+    # The summit printed first is summit_set's own to_summit witness, so the
+    # command needs no more budget than summit_set alone.
+    germ = validate(parse_germ(Path(A2).read_text(encoding="utf-8")))
+    budget = Budget(10**9)
+    summit_set(germ, parse_word(germ, "s t s t t"), budget)
+    code, out = run(
+        capsys, "summit", "--file", A2, "--word", "s t s t t", "--budget", str(budget.used)
+    )
+    assert code == 0
+    assert "summit_set_size: " in out
 
 
 def test_validate_atom_graph_export(tmp_path, capsys):

@@ -18,6 +18,7 @@ from garside.conjugacy import (
     summit_set,
     to_summit,
 )
+from garside.divided import tuple_name
 from garside.germ import Automorphism, GermValidationError
 
 import oracles
@@ -124,11 +125,11 @@ def test_fixed_subgerm_empty(rank2):
     assert rep.components == []
 
 
-def test_fixed_subgerm_validates(a2_div3):
+def test_fixed_subgerm_validates(a2, a2_div3):
     rep = fixed_subgerm(a2_div3.germ, phi_automorphism(a2_div3.germ, 2))
     assert not rep.is_empty
     names = sorted(
-        a2_div3.object_tuple_name(a2_div3.objects[rep.object_inclusion[o]])
+        tuple_name(a2, a2_div3.objects[rep.object_inclusion[o]])
         for o in range(len(rep.subgerm.objects))
     )
     assert names == ["(s,t,s)", "(t,s,t)"]

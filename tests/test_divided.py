@@ -2,7 +2,18 @@ import random
 
 import pytest
 
-from garside import equal, germ_isomorphism, multiply, normal_form, parse_word
+from garside import (
+    equal,
+    germ_isomorphism,
+    multiply,
+    normal_form,
+    parse_germ,
+    parse_word,
+    phi_automorphism,
+    table_to_text,
+    validate,
+)
+from garside.conjugacy import fixed_subgerm
 from garside.divided import (
     build_divided_germ,
     count_subdivisions,
@@ -12,14 +23,11 @@ from garside.divided import (
     theta_morphism,
     theta_object,
     theta_simple,
+    tuple_name,
 )
 from garside.words import identity_nf, is_greedy
 
 import oracles
-
-
-def tuple_name(germ, f):
-    return "(" + ",".join(germ.simple_name(s) for s in f) + ")"
 
 
 def test_enumerate_counts_a2(a2):
@@ -39,12 +47,6 @@ def test_enumerate_matches_bruteforce(a2, rank2):
         assert enumerate_subdivisions(germ, m) == brute
         counted = sum(count_subdivisions(germ, m).values())
         assert counted == len(brute)
-
-
-def test_enumerate_parallel_deterministic(rank2):
-    assert enumerate_subdivisions(rank2, 3, parallel=True) == enumerate_subdivisions(
-        rank2, 3
-    )
 
 
 def test_single_subdivision_is_delta(a2):
@@ -261,3 +263,41 @@ def test_divided_germ_of_dual3(dual3):
     assert len(dg.objects) == sum(count_subdivisions(dual3, 2).values())
     assert dg.germ.phi_order in (3, 6)
     assert (2 * dual3.phi_order) % dg.germ.phi_order == 0
+
+
+def assert_text_roundtrip(g):
+    """The id-assembled germ and its re-parse through names agree exactly."""
+    back = validate(parse_germ(table_to_text(g)))
+    assert back.simples == g.simples
+    assert back.product == g.product
+    assert back.delta == g.delta
+    assert table_to_text(back) == table_to_text(g)
+
+
+@pytest.mark.parametrize("base,m", [("a2", 3), ("rank2", 3), ("chamber3", 2), ("dual3", 2)])
+def test_divided_and_fixed_germs_roundtrip_through_text(request, base, m):
+    dg = build_divided_germ(request.getfixturevalue(base), m)
+    g = dg.germ
+    assert len(g.objects) > 1
+    assert_text_roundtrip(g)
+    for sid, lad in dg.ladder_of.items():
+        s = g.simples[sid]
+        assert (dg.objects[s.source], dg.objects[s.target]) == (lad.src, lad.tgt)
+        assert dg.simple_ix[(lad.src, lad.columns)] == sid
+    fixed = 0
+    for p in range(1, g.phi_order + 1):
+        rep = fixed_subgerm(g, phi_automorphism(g, p))
+        if rep.is_empty:
+            continue
+        fixed += 1
+        assert_text_roundtrip(rep.subgerm)
+        inc = rep.simple_inclusion
+        for s in rep.subgerm.simples:
+            amb = g.simples[inc[s.id]]
+            assert (amb.name, amb.length) == (s.name, s.length)
+            assert (amb.source, amb.target) == (
+                rep.object_inclusion[s.source], rep.object_inclusion[s.target]
+            )
+        for (a, b), c in rep.subgerm.product.items():
+            assert g.product[(inc[a], inc[b])] == inc[c]
+    assert fixed > 0

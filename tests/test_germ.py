@@ -131,6 +131,25 @@ def test_validate_lattice_failure_with_witness():
     assert "(a, b)" in str(err.value)
 
 
+# Δ_x = a has length 2 and Δ_y = b length 1: every axiom before φ holds, but
+# φ = ∂² sends a to b and so does not preserve lengths.
+UNEVEN_DELTAS = """garside-germ v1
+object x
+object y
+simple a : x -> y len 2
+simple b : y -> x
+delta x = a
+delta y = b
+"""
+
+
+def test_validate_phi_failure_says_phi():
+    with pytest.raises(GermValidationError) as err:
+        validate(parse_germ(UNEVEN_DELTAS))
+    assert "phi" in str(err.value)
+    assert "'a'" in str(err.value)
+
+
 def test_left_divides_and_quotient(a2, rank2):
     s, t = a2.simple_named("s"), a2.simple_named("t")
     st, ts, D = a2.simple_named("st"), a2.simple_named("ts"), a2.simple_named("D")

@@ -1,7 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from garside import builtins as germ_builtins
 from garside import parse_germ, validate
 from garside.divided import enumerate_subdivisions
 from garside.germ import GermError
@@ -30,6 +32,49 @@ def test_garside_dimension(a2, rank2, free_loop, artin4):
     assert garside_dimension(rank2) == 3
     assert garside_dimension(free_loop) == 1
     assert garside_dimension(artin4) == 6
+
+
+def chain_germ(n: int):
+    """One object, simples a_1..a_n with a_i of length i and a_i·a_j = a_{i+j}."""
+    lines = ["garside-germ v1", "object x"]
+    lines += [f"simple a{i} : x -> x len {i}" for i in range(1, n + 1)]
+    lines += [
+        f"product a{i} a{j} = a{i + j}" for i in range(1, n) for j in range(1, n - i + 1)
+    ]
+    lines.append(f"delta x = a{n}")
+    return validate(parse_germ("\n".join(lines) + "\n"))
+
+
+def test_garside_dimension_needs_no_recursion():
+    germ = chain_germ(150)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        dim = garside_dimension(germ)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert dim == 150
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [
+        ("artin_symmetric", 2), ("artin_symmetric", 3), ("artin_symmetric", 4),
+        ("dual_braid", 2), ("dual_braid", 3), ("dual_braid", 4),
+        ("dihedral_chamber", 2), ("dihedral_chamber", 3), ("dihedral_chamber", 5),
+        ("rank2_counterexample", None),
+    ],
+)
+def test_garside_dimension_matches_recursive_oracle(family, param):
+    germ = validate(germ_builtins.build(family, param))
+    assert garside_dimension(germ) == oracles.recursive_garside_dimension(germ)
+
+
+def test_garside_dimension_of_divided_and_chain_germs(a2_div3, rank2):
+    from garside.divided import build_divided_germ
+
+    for germ in (a2_div3.germ, build_divided_germ(rank2, 2).germ, chain_germ(20)):
+        assert garside_dimension(germ) == oracles.recursive_garside_dimension(germ)
 
 
 def test_dimension_identity_only_germ():
