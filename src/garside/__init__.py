@@ -9,6 +9,7 @@ from .germ import (
     GermSyntaxError,
     GermTable,
     GermValidationError,
+    InternalError,
     components,
     germ_isomorphism,
     make_table,

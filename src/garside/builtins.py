@@ -36,18 +36,18 @@ def _inversions(p: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 
 
-def _artin_name(p: tuple[int, ...]) -> str:
-    """Lex-least reduced word over the generator letters s, t, u, v, w."""
+def _artin_name(p: tuple[int, ...], inv: dict[tuple[int, ...], int]) -> str:
+    """Lex-least reduced word over the generator letters s, t, u, v, w; inv holds the lengths."""
     letters = "stuvw"
     n = len(p)
     gens = [
         tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)
     ]
     out = []
-    while _inversions(p) > 0:
+    while inv[p] > 0:
         for i, g in enumerate(gens):
             rest = _compose(g, p)
-            if _inversions(rest) == _inversions(p) - 1:
+            if inv[rest] == inv[p] - 1:
                 out.append(letters[i])
                 p = rest
                 break
@@ -60,18 +60,15 @@ def artin_symmetric(n: int) -> GermTable:
     perms = sorted(permutations(range(n)))
     ident = tuple(range(n))
     w0 = tuple(reversed(range(n)))
-    names = {p: _artin_name(p) for p in perms}
+    inv = {p: _inversions(p) for p in perms}
+    names = {p: _artin_name(p, inv) for p in perms}
     names[w0] = "D"
-    simples = [
-        (names[p], "x", "x", _inversions(p)) for p in perms if p != ident
-    ]
+    simples = [(names[p], "x", "x", inv[p]) for p in perms if p != ident]
     products = []
-    for p in perms:
-        for q in perms:
-            if p == ident or q == ident:
-                continue
+    for p in perms[1:]:
+        for q in perms[1:]:
             r = _compose(p, q)
-            if _inversions(p) + _inversions(q) == _inversions(r):
+            if inv[p] + inv[q] == inv[r]:
                 products.append((names[p], names[q], names[r]))
     return make_table(["x"], simples, products, {"x": names[w0]})
 
@@ -108,17 +105,13 @@ def dual_braid(n: int) -> GermTable:
         return _refl_length(p) + _refl_length(q) == _refl_length(cycle)
 
     ncp = sorted(p for p in permutations(range(n)) if below_cycle(p))
-    simples = [
-        (_perm_name(p), "x", "x", _refl_length(p)) for p in ncp if p != ident
-    ]
-    ncp_set = set(ncp)
+    length = {p: _refl_length(p) for p in ncp}
+    simples = [(_perm_name(p), "x", "x", length[p]) for p in ncp if p != ident]
     products = []
-    for p in ncp:
-        for q in ncp:
-            if p == ident or q == ident:
-                continue
+    for p in ncp[1:]:
+        for q in ncp[1:]:
             r = _compose(p, q)
-            if r in ncp_set and _refl_length(p) + _refl_length(q) == _refl_length(r):
+            if r in length and length[p] + length[q] == length[r]:
                 products.append((_perm_name(p), _perm_name(q), _perm_name(r)))
     return make_table(["x"], simples, products, {"x": _perm_name(cycle)})
 
@@ -143,14 +136,11 @@ def dihedral_chamber(m: int) -> GermTable:
         for j in range(n)
         if i != j
     ]
-    products = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i == j or j == k or i == k:
-                    continue
-                if dist(i, j) + dist(j, k) == dist(i, k):
-                    products.append((name(i, j), name(j, k), name(i, k)))
+    products = [
+        (name(i, j), name(j, k), name(i, k))
+        for i in range(n) for j in range(n) for k in range(n)
+        if len({i, j, k}) == 3 and dist(i, j) + dist(j, k) == dist(i, k)
+    ]
     deltas = {f"c{i}": name(i, (i + m) % n) for i in range(n)}
     return make_table(objects, simples, products, deltas)
 

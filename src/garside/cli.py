@@ -3,7 +3,8 @@ cli: command-line front end.
 
 Exit codes: 0 success; 1 germ validation failure; 2 parse/usage error;
 3 computation budget exceeded; 4 honest negative (not conjugate, not
-periodic, no length-one representative, no fixed objects).
+periodic, no length-one representative, no fixed objects); 5 internal error
+(a consistency check inside a construction failed).
 
 Output is byte-stable for fixed inputs: enumerations are sorted and
 formatting is fixed. `--json-like` switches to one `key: value` line per
@@ -23,8 +24,8 @@ from .germ import (
     BudgetExceeded,
     GarsideGerm,
     GermError,
-    GermSyntaxError,
     GermValidationError,
+    InternalError,
     components,
     parse_germ,
     table_to_text,
@@ -36,6 +37,15 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_NEGATIVE = 4
+EXIT_INTERNAL = 5
+
+# (exception classes, stderr prefix, exit code); the first match wins.
+FAILURES = [
+    (GermValidationError, "validation error", EXIT_VALIDATION),
+    (BudgetExceeded, "error", EXIT_BUDGET),
+    (InternalError, "internal error", EXIT_INTERNAL),
+    ((GermError, KeyError, OSError), "error", EXIT_USAGE),
+]
 
 
 class Reporter:
@@ -352,18 +362,10 @@ def main(argv: list[str] | None = None) -> int:
         code = handler(args, rep)
     except HonestNegative:
         return EXIT_NEGATIVE
-    except GermSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GermValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (GermError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        prefix, code = next((p, c) for kind, p, c in FAILURES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     rep.flush()
     return code
 

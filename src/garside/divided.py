@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .germ import GarsideGerm, GermError, assemble_table, validate
+from .germ import GarsideGerm, GermError, InternalError, assemble_table, validate
 from .words import NormalForm, identity_nf, invert, multiply, normal_form
 
 DividedObject = tuple[int, ...]
@@ -37,7 +37,8 @@ def subdivisions_of(germ: GarsideGerm, oid: int, m: int) -> list[DividedObject]:
             return
         for u in germ.divisor_list(germ.quotient(done, dx)):
             step = germ.product_of(done, u)
-            assert step is not None
+            if step is None:
+                raise InternalError("a divisor of the rest of delta does not extend the prefix")
             extend(prefix + [u], step, rest - 1)
 
     extend([], germ.identity[oid], m)
@@ -126,8 +127,13 @@ def ladders_between(
 
 
 def tuple_name(germ: GarsideGerm, f: tuple[int, ...]) -> str:
-    """Display name of a tuple of simples, e.g. a subdivision: (s,t,s)."""
-    return "(" + ",".join(germ.simple_name(s) for s in f) + ")"
+    """
+    Display name of a tuple of simples, e.g. a subdivision: (s,t,s). A name
+    holding "(", ")" or "," is written (<length>'<name>), so a left-to-right
+    read recovers the tuple and distinct tuples never print alike.
+    """
+    names = (germ.simple_name(s) for s in f)
+    return "(" + ",".join(f"({len(n)}'{n})" if set(n) & set("(),") else n for n in names) + ")"
 
 
 @dataclass
@@ -236,14 +242,14 @@ def theta_simple(dg: DividedGerm, sid: int) -> NormalForm:
         )
         tgt = ladder_target(base, cur, cols)
         if tgt is None:
-            raise GermError("theta slide produced an invalid ladder (internal error)")
+            raise InternalError("theta slide produced an invalid ladder")
         lsid = dg.ladder_simple(cur, cols)
         res = multiply(
             dg.germ, res, normal_form(dg.germ, [lsid])
         )
         cur = tgt
     if cur != theta_object(base, s.target, m):
-        raise GermError("theta did not land on the expected object (internal error)")
+        raise InternalError("theta did not land on the expected object")
     return res
 
 
@@ -291,7 +297,8 @@ def _regroup_object(dg_q: DividedGerm, f: DividedObject, e: int, q: int) -> Divi
         prod = seg[0]
         for s in seg[1:]:
             prod = base.product_of(prod, s)
-            assert prod is not None
+            if prod is None:
+                raise InternalError("a block of a subdivision does not multiply out")
         blocks.append(prod)
     src = tuple(blocks)
     out = []
@@ -316,13 +323,13 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
     dg_it = build_divided_germ(dg_q.germ, e)
 
     if len(dg_eq.objects) != len(dg_it.objects):
-        raise GermError("subdivision counts disagree (internal error)")
+        raise InternalError("subdivision counts disagree")
     object_map: dict[int, int] = {}
     for i, f in enumerate(dg_eq.objects):
         g = _regroup_object(dg_q, f, e, q)
         object_map[i] = dg_it.object_of(g)
     if len(set(object_map.values())) != len(object_map):
-        raise GermError("object regrouping is not injective (internal error)")
+        raise InternalError("object regrouping is not injective")
 
     simple_map: dict[int, int] = {}
     for sid, lad in dg_eq.ladder_of.items():
@@ -339,7 +346,7 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
     if len(set(simple_map.values())) != len(simple_map) or len(simple_map) != len(
         dg_it.ladder_of
     ):
-        raise GermError("simple regrouping is not bijective (internal error)")
+        raise InternalError("simple regrouping is not bijective")
 
     # Germ isomorphism: products, Δ, and the shift automorphisms line up.
     g1, g2 = dg_eq.germ, dg_it.germ
@@ -366,7 +373,7 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
     else:
         right = build_divided_germ(right_base.subgerm, e)
         if germ_isomorphism(left.subgerm, right.germ) is None:
-            raise GermError("fixed-subgerm refinement fails (internal error)")
+            raise InternalError("fixed-subgerm refinement fails")
         fixed_check = "verified"
     return SubdivisionIso(
         e, q, dg_eq, dg_q, dg_it, object_map, simple_map, fixed_check

@@ -11,14 +11,17 @@ and derives the data every other module consumes:
 - ``phi``: the germ automorphism obtained as the double complement,
 - meet/join tables for every pair of simples sharing a source.
 
-Objects and simples are referenced by dense integer ids throughout; the
-tables live in plain dicts and lists, which is plenty at finite type.
-Validated germs are immutable in practice: nothing mutates them after
-``validate`` returns, so all queries are safe under concurrent use.
+Objects and simples are referenced by dense integer ids throughout. The
+checks cost what the product table holds: associativity walks an index of
+products by factor, meets and joins are divisor-bitmask lookups, and the
+atom closure follows only the atoms leaving each object. Validated germs
+are immutable in practice: nothing mutates them after ``validate`` returns,
+so all queries are safe under concurrent use.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -40,6 +43,10 @@ class GermSyntaxError(GermError):
 
 class GermValidationError(GermError):
     """A Garside axiom fails; the message contains a witness."""
+
+
+class InternalError(GermError):
+    """A consistency check inside a construction failed: a bug, not bad input."""
 
 
 class BudgetExceeded(GermError):
@@ -402,31 +409,25 @@ def _check_table(table: GermTable) -> None:
         if product.get((s.id, table.identity[s.target])) != s.id:
             raise GermValidationError(f"right unit fails at {s.name!r}")
 
-    by_source: dict[int, list[int]] = {}
-    by_target: dict[int, list[int]] = {}
-    for s in simples:
-        by_source.setdefault(s.source, []).append(s.id)
-        by_target.setdefault(s.target, []).append(s.id)
-
-    # (assoc): both bracketings agree, including definedness. Triples where
-    # neither adjacent pair multiplies are vacuous, so it is enough to walk
-    # defined products and attach a third factor on either side.
-    for (a, b), ab in product.items():
-        for c in by_source.get(simples[b].target, ()):
-            e1 = product.get((ab, c))
-            bc = product.get((b, c))
-            e2 = product.get((a, bc)) if bc is not None else None
-            if e1 != e2:
-                raise GermValidationError(
-                    "associativity fails at "
-                    f"({simples[a].name}, {simples[b].name}, {simples[c].name})"
-                )
-    for (b, c), bc in product.items():
-        for a in by_target.get(simples[b].source, ()):
-            e2 = product.get((a, bc))
-            ab = product.get((a, b))
-            e1 = product.get((ab, c)) if ab is not None else None
-            if e1 != e2:
+    # (assoc): both bracketings agree, including definedness. Triples with an
+    # identity factor hold by the unit laws and triples where neither adjacent
+    # pair multiplies are vacuous, so for a·b = ab only the c with b·c or ab·c
+    # defined matter: the row of ab in the left-factor index must equal the row
+    # of b pushed through that of a. Dually for b·c = bc in the right-factor
+    # index. The least failing third factor is the witness, as in a full walk.
+    units = set(table.identity)
+    after: list[dict[int, int]] = [{} for _ in simples]   # a -> {b: a·b}
+    before: list[dict[int, int]] = [{} for _ in simples]  # b -> {a: a·b}
+    steps = [(a, b, c) for (a, b), c in product.items() if a not in units and b not in units]
+    for a, b, c in steps:
+        after[a][b] = c
+        before[b][a] = c
+    for rows, walk in ((after, steps), (before, [(c, b, bc) for b, c, bc in steps])):
+        for p, q, pq in walk:
+            rp, rq, rpq = rows[p], rows[q], rows[pq]
+            if {k: e for k, v in rq.items() if (e := rp.get(v)) is not None} != rpq:
+                k = min(k for k in rq.keys() | rpq.keys() if rpq.get(k) != rp.get(rq.get(k)))
+                a, b, c = (p, q, k) if rows is after else (k, q, p)
                 raise GermValidationError(
                     "associativity fails at "
                     f"({simples[a].name}, {simples[b].name}, {simples[c].name})"
@@ -471,16 +472,14 @@ def validate(table: GermTable) -> GarsideGerm:
     germ.left_divs = [frozenset(d) for d in ldivs]
     germ.right_divs = [frozenset(d) for d in rdivs]
 
-    # Δ_x: the maximum of (S_{x->}, ≤). Uniqueness follows from antisymmetry
-    # (homogeneity makes ≤ a partial order).
+    # Δ_x: the maximum of (S_{x->}, ≤), the simple with all of S_{x->} as left
+    # divisors (unique by antisymmetry: homogeneity makes ≤ a partial order).
     germ.delta = [-1] * len(germ.objects)
     for obj in germ.objects:
         out = germ.by_source[obj.id]
-        top = [s for s in out if all(t in germ.left_divs[s] for t in out)]
+        top = [s for s in out if len(germ.left_divs[s]) == len(out)]
         if len(top) != 1:
-            raise GermValidationError(
-                f"no maximum in simples out of object {obj.name!r}"
-            )
+            raise GermValidationError(f"no maximum in simples out of object {obj.name!r}")
         germ.delta[obj.id] = top[0]
         declared = germ.declared_delta.get(obj.id)
         if declared is not None and declared != top[0]:
@@ -495,34 +494,32 @@ def validate(table: GermTable) -> GarsideGerm:
         germ.phi_obj_inv[y] = x
 
     # Complement s̄: s·s̄ = Δ_source(s); a bijection S_{x->} -> S_{->xφ}
-    # reversing order (axiom (iii)).
+    # reversing order (axiom (iii)): the simples above a are the preimages of
+    # the right divisors of ā.
+    above: list[set[int]] = [set() for _ in simples]
+    for b, divs in enumerate(ldivs):
+        for a in divs:
+            above[a].add(b)
     germ.complement_ = [-1] * len(simples)
     for s in simples:
         dx = germ.delta[s.source]
         bar = germ.lquot.get((s.id, dx))
         if bar is None:
-            raise GermValidationError(
-                f"no complement: {s.name!r} does not left-divide its delta"
-            )
+            raise GermValidationError(f"no complement: {s.name!r} does not left-divide its delta")
         germ.complement_[s.id] = bar
     for obj in germ.objects:
         out = germ.by_source[obj.id]
         into = germ.by_target[germ.phi_obj[obj.id]]
-        image = {germ.complement_[s] for s in out}
-        if len(image) != len(out) or image != set(into):
-            raise GermValidationError(
-                f"complement is not a bijection at object {obj.name!r}"
-            )
+        preimage = {germ.complement_[s]: s for s in out}
+        if len(preimage) != len(out) or preimage.keys() != set(into):
+            raise GermValidationError(f"complement is not a bijection at object {obj.name!r}")
         for a in out:
-            for b in out:
-                le = a in germ.left_divs[b]
-                # antitone: a ≤ b iff complement(b) right-divides complement(a)
-                ge = germ.complement_[b] in germ.right_divs[germ.complement_[a]]
-                if le != ge:
-                    raise GermValidationError(
-                        f"complement not antitone at pair "
-                        f"({simples[a].name}, {simples[b].name})"
-                    )
+            ge = {preimage[r] for r in germ.right_divs[germ.complement_[a]]}
+            if ge != above[a]:
+                b = min(ge ^ above[a])
+                raise GermValidationError(
+                    f"complement not antitone at pair ({simples[a].name}, {simples[b].name})"
+                )
 
     # φ = double complement; must be a germ automorphism.
     germ.phi_simple = [germ.complement_[germ.complement_[s.id]] for s in simples]
@@ -535,28 +532,27 @@ def validate(table: GermTable) -> GarsideGerm:
 
     # Lattice: meets exist for every same-source pair; joins then exist too
     # (finite meet-semilattice with top), computed via the complement duality.
-    length = [s.length for s in simples]
+    # Divisibility is transitive (by associativity), so the meet of a and b is
+    # the simple whose left-divisor bitmask is L(a) & L(b), if there is one.
+    lmask = _masks(germ.left_divs, germ.by_source)
+    rmask = _masks(germ.right_divs, germ.by_target)
     for obj in germ.objects:
         out = germ.by_source[obj.id]
+        lkey = {lmask[s]: s for s in out}
+        rkey = {rmask[s]: s for s in germ.by_target[germ.phi_obj[obj.id]]}
         for a in out:
+            la, ra = lmask[a], rmask[germ.complement_[a]]
             for b in out:
-                common = germ.left_divs[a] & germ.left_divs[b]
-                m = max(common, key=lambda c: (length[c], -c))
-                if any(c not in germ.left_divs[m] for c in common):
+                m = lkey.get(la & lmask[b])
+                if m is None:
                     raise GermValidationError(
                         f"pair ({simples[a].name}, {simples[b].name}) lacks a meet"
                     )
                 germ.meet_table[(a, b)] = m
                 # join(a, b) = complement^{-1} of the greatest common
                 # right-divisor of the complements.
-                ca, cb = germ.complement_[a], germ.complement_[b]
-                rcommon = germ.right_divs[ca] & germ.right_divs[cb]
-                g = max(rcommon, key=lambda c: (length[c], -c))
-                if any(c not in germ.right_divs[g] for c in rcommon):
-                    raise GermValidationError(
-                        f"pair ({simples[a].name}, {simples[b].name}) lacks a join"
-                    )
-                j = germ.rquot.get((g, germ.delta[obj.id]))
+                g = rkey.get(ra & rmask[germ.complement_[b]])
+                j = None if g is None else germ.rquot.get((g, germ.delta[obj.id]))
                 if j is None or a not in germ.left_divs[j] or b not in germ.left_divs[j]:
                     raise GermValidationError(
                         f"pair ({simples[a].name}, {simples[b].name}) lacks a join"
@@ -564,6 +560,7 @@ def validate(table: GermTable) -> GarsideGerm:
                 germ.join_table[(a, b)] = j
 
     # Atoms generate: every simple is a product of atoms.
+    length = [s.length for s in simples]
     nontrivial_products = {
         c for (a, b), c in product.items()
         if length[a] > 0 and length[b] > 0
@@ -571,12 +568,15 @@ def validate(table: GermTable) -> GarsideGerm:
     germ.atoms = sorted(
         s.id for s in simples if length[s.id] > 0 and s.id not in nontrivial_products
     )
+    atoms_out: list[list[int]] = [[] for _ in germ.objects]
+    for a in germ.atoms:
+        atoms_out[simples[a].source].append(a)
     reach = set(germ.identity)
     frontier = list(reach)
     while frontier:
         new = []
         for u in frontier:
-            for a in germ.atoms:
+            for a in atoms_out[simples[u].target]:
                 c = product.get((u, a))
                 if c is not None and c not in reach:
                     reach.add(c)
@@ -589,21 +589,20 @@ def validate(table: GermTable) -> GarsideGerm:
     return germ
 
 
-def _permutation_order(perm: list[int]) -> int:
-    import math
+def _masks(divs: list[frozenset[int]], groups: list[list[int]]) -> list[int]:
+    """Each divisor set as an int bitmask, bit i standing for the i-th simple of its group."""
+    bit = {s: 1 << i for group in groups for i, s in enumerate(group)}
+    return [sum(bit[d] for d in ds) for ds in divs]
 
-    order = 1
-    seen = [False] * len(perm)
+
+def _permutation_order(perm: list[int]) -> int:
+    """The lcm of the cycle lengths."""
+    order, seen = 1, [False] * len(perm)
     for i in range(len(perm)):
-        if seen[i]:
-            continue
         n = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            n += 1
-        order = order * n // math.gcd(order, n)
+        while not seen[i]:
+            seen[i], i, n = True, perm[i], n + 1
+        order = math.lcm(order, n) if n else order
     return order
 
 

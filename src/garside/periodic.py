@@ -27,7 +27,7 @@ from .divided import (
     theta_morphism,
     theta_object,
 )
-from .germ import Budget, GarsideGerm, GermError, phi_automorphism
+from .germ import Budget, GarsideGerm, GermError, InternalError, phi_automorphism
 from .words import (
     NormalForm,
     delta_power_nf,
@@ -195,7 +195,7 @@ def apply_slides(
     for i in slides:
         w = words_t[i - 1]
         if not w:
-            raise GermError(f"slide σ_{i} incompatible with the word tuple (internal error)")
+            raise InternalError(f"slide σ_{i} incompatible with the word tuple")
         a = w[0]
         cur = evaluate()
         cols = tuple(
@@ -203,7 +203,7 @@ def apply_slides(
             for j in range(q)
         )
         if ladder_target(germ, cur, cols) is None:
-            raise GermError("slide does not map to a ladder (internal error)")
+            raise InternalError("slide does not map to a ladder")
         sid = dg.ladder_simple(cur, cols)
         res = multiply(dg.germ, res, normal_form(dg.germ, [sid]))
         del w[0]
@@ -254,7 +254,7 @@ def necklace_conjugator(
     start = [[] for _ in range(q - 1)] + [list(letters)]
     c, final = apply_slides(germ, dg, start, beta2_slides(q))
     if final != [[sid] for sid in letters]:
-        raise GermError("slide word did not end at the letter tuple (internal error)")
+        raise InternalError("slide word did not end at the letter tuple")
     under = bestvina_object(germ, bf)
     if dg.objects[c.source] != theta_object(germ, germ.simples[bf.s].source, q):
         raise GermError("conjugator does not start at the theta object")

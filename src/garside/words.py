@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .germ import BudgetExceeded, GarsideGerm, GermError
+from .germ import BudgetExceeded, GarsideGerm, GermError, InternalError
 
 MAX_WORD_FACTORS = 1 << 16
 
@@ -110,7 +110,8 @@ def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> No
             u = germ.meet(germ.complement(a), b)
             if not germ.is_identity(u):
                 prod = germ.product_of(a, u)
-                assert prod is not None  # u ≤ complement(a) makes a·u simple
+                if prod is None:
+                    raise InternalError("normal form: a·u is not simple although u ≤ complement(a)")
                 factors[i] = prod
                 factors[i + 1] = germ.quotient(u, b)
                 changed = True

@@ -3,9 +3,16 @@ Brute-force oracles, kept independent of the library code paths they check.
 Everything here works straight off the product dict by exhaustive scanning.
 """
 
+import math
 from itertools import product as cartesian
 
 from garside import NormalForm, invert, multiply
+from garside.germ import (
+    Automorphism,
+    GarsideGerm,
+    GermValidationError,
+    check_automorphism,
+)
 from garside.words import delta_power_nf
 
 
@@ -144,3 +151,238 @@ def recursive_garside_dimension(germ) -> int:
 
         best = max(best, longest(germ.identity[obj.id]))
     return best
+
+
+def reference_check_table(table) -> None:
+    """
+    GermTable invariants, with the full associativity walk: each product
+    a·b is tried against every simple on the far side of b.
+    """
+    simples = table.simples
+    product = table.product
+    names = set()
+    for s in simples:
+        if s.name in names:
+            raise GermValidationError(f"duplicate simple name {s.name!r}")
+        names.add(s.name)
+        if (s.length == 0) != (s.id in table.identity):
+            raise GermValidationError(f"length 0 iff identity violated at {s.name!r}")
+    for (a, b), c in product.items():
+        sa, sb, sc = simples[a], simples[b], simples[c]
+        if sa.target != sb.source or sc.source != sa.source or sc.target != sb.target:
+            raise GermValidationError(f"product {sa.name}·{sb.name} endpoints mismatched")
+        if sa.length + sb.length != sc.length:
+            raise GermValidationError(f"length non-additive at {sa.name}·{sb.name}")
+    for s in simples:
+        if product.get((table.identity[s.source], s.id)) != s.id:
+            raise GermValidationError(f"left unit fails at {s.name!r}")
+        if product.get((s.id, table.identity[s.target])) != s.id:
+            raise GermValidationError(f"right unit fails at {s.name!r}")
+
+    by_source: dict[int, list[int]] = {}
+    by_target: dict[int, list[int]] = {}
+    for s in simples:
+        by_source.setdefault(s.source, []).append(s.id)
+        by_target.setdefault(s.target, []).append(s.id)
+
+    # (assoc): both bracketings agree, including definedness. Triples where
+    # neither adjacent pair multiplies are vacuous, so it is enough to walk
+    # defined products and attach a third factor on either side.
+    for (a, b), ab in product.items():
+        for c in by_source.get(simples[b].target, ()):
+            e1 = product.get((ab, c))
+            bc = product.get((b, c))
+            e2 = product.get((a, bc)) if bc is not None else None
+            if e1 != e2:
+                raise GermValidationError(
+                    "associativity fails at "
+                    f"({simples[a].name}, {simples[b].name}, {simples[c].name})"
+                )
+    for (b, c), bc in product.items():
+        for a in by_target.get(simples[b].source, ()):
+            e2 = product.get((a, bc))
+            ab = product.get((a, b))
+            e1 = product.get((ab, c)) if ab is not None else None
+            if e1 != e2:
+                raise GermValidationError(
+                    "associativity fails at "
+                    f"({simples[a].name}, {simples[b].name}, {simples[c].name})"
+                )
+
+
+def reference_validate(table):
+    """
+    The set-based validator: Δ by an all-pairs scan, meets and joins as the
+    longest common divisor checked against every common divisor, and the
+    atom closure over every atom. Same checks, order and messages as
+    garside.validate.
+    """
+    reference_check_table(table)
+    germ = GarsideGerm(table)
+    simples = germ.simples
+    product = germ.product
+
+    # Cancellativity, with witness triples.
+    seen: dict[tuple[int, int], int] = {}
+    for (a, b), c in product.items():
+        key = (a, c)
+        if key in seen and seen[key] != b:
+            raise GermValidationError(
+                f"left cancellativity fails: {simples[a].name}·{simples[seen[key]].name} "
+                f"= {simples[a].name}·{simples[b].name} = {simples[c].name}"
+            )
+        seen[key] = b
+    seen.clear()
+    for (a, b), c in product.items():
+        key = (b, c)
+        if key in seen and seen[key] != a:
+            raise GermValidationError(
+                f"right cancellativity fails: {simples[seen[key]].name}·{simples[b].name} "
+                f"= {simples[a].name}·{simples[b].name} = {simples[c].name}"
+            )
+        seen[key] = a
+
+    # Divisibility and quotient tables.
+    ldivs: list[set[int]] = [{germ.identity[s.source], s.id} for s in simples]
+    rdivs: list[set[int]] = [{germ.identity[s.target], s.id} for s in simples]
+    for (a, b), c in product.items():
+        ldivs[c].add(a)
+        rdivs[c].add(b)
+        germ.lquot[(a, c)] = b
+        germ.rquot[(b, c)] = a
+    germ.left_divs = [frozenset(d) for d in ldivs]
+    germ.right_divs = [frozenset(d) for d in rdivs]
+
+    # Δ_x: the maximum of (S_{x->}, ≤). Uniqueness follows from antisymmetry
+    # (homogeneity makes ≤ a partial order).
+    germ.delta = [-1] * len(germ.objects)
+    for obj in germ.objects:
+        out = germ.by_source[obj.id]
+        top = [s for s in out if all(t in germ.left_divs[s] for t in out)]
+        if len(top) != 1:
+            raise GermValidationError(
+                f"no maximum in simples out of object {obj.name!r}"
+            )
+        germ.delta[obj.id] = top[0]
+        declared = germ.declared_delta.get(obj.id)
+        if declared is not None and declared != top[0]:
+            raise GermValidationError(
+                f"declared delta {simples[declared].name!r} at {obj.name!r} is not the maximum"
+            )
+    germ.phi_obj = [simples[germ.delta[oid]].target for oid in range(len(germ.objects))]
+    if sorted(germ.phi_obj) != list(range(len(germ.objects))):
+        raise GermValidationError("targets of the delta simples do not permute objects")
+    germ.phi_obj_inv = [0] * len(germ.objects)
+    for x, y in enumerate(germ.phi_obj):
+        germ.phi_obj_inv[y] = x
+
+    # Complement s̄: s·s̄ = Δ_source(s); a bijection S_{x->} -> S_{->xφ}
+    # reversing order (axiom (iii)).
+    germ.complement_ = [-1] * len(simples)
+    for s in simples:
+        dx = germ.delta[s.source]
+        bar = germ.lquot.get((s.id, dx))
+        if bar is None:
+            raise GermValidationError(
+                f"no complement: {s.name!r} does not left-divide its delta"
+            )
+        germ.complement_[s.id] = bar
+    for obj in germ.objects:
+        out = germ.by_source[obj.id]
+        into = germ.by_target[germ.phi_obj[obj.id]]
+        image = {germ.complement_[s] for s in out}
+        if len(image) != len(out) or image != set(into):
+            raise GermValidationError(
+                f"complement is not a bijection at object {obj.name!r}"
+            )
+        for a in out:
+            for b in out:
+                le = a in germ.left_divs[b]
+                # antitone: a ≤ b iff complement(b) right-divides complement(a)
+                ge = germ.complement_[b] in germ.right_divs[germ.complement_[a]]
+                if le != ge:
+                    raise GermValidationError(
+                        f"complement not antitone at pair "
+                        f"({simples[a].name}, {simples[b].name})"
+                    )
+
+    # φ = double complement; must be a germ automorphism.
+    germ.phi_simple = [germ.complement_[germ.complement_[s.id]] for s in simples]
+    check_automorphism(germ, Automorphism(tuple(germ.phi_obj), tuple(germ.phi_simple)), "phi")
+    germ.phi_simple_inv = [0] * len(simples)
+    for a, b in enumerate(germ.phi_simple):
+        germ.phi_simple_inv[b] = a
+
+    germ.phi_order = permutation_order(germ.phi_simple)
+
+    # Lattice: meets exist for every same-source pair; joins then exist too
+    # (finite meet-semilattice with top), computed via the complement duality.
+    length = [s.length for s in simples]
+    for obj in germ.objects:
+        out = germ.by_source[obj.id]
+        for a in out:
+            for b in out:
+                common = germ.left_divs[a] & germ.left_divs[b]
+                m = max(common, key=lambda c: (length[c], -c))
+                if any(c not in germ.left_divs[m] for c in common):
+                    raise GermValidationError(
+                        f"pair ({simples[a].name}, {simples[b].name}) lacks a meet"
+                    )
+                germ.meet_table[(a, b)] = m
+                # join(a, b) = complement^{-1} of the greatest common
+                # right-divisor of the complements.
+                ca, cb = germ.complement_[a], germ.complement_[b]
+                rcommon = germ.right_divs[ca] & germ.right_divs[cb]
+                g = max(rcommon, key=lambda c: (length[c], -c))
+                if any(c not in germ.right_divs[g] for c in rcommon):
+                    raise GermValidationError(
+                        f"pair ({simples[a].name}, {simples[b].name}) lacks a join"
+                    )
+                j = germ.rquot.get((g, germ.delta[obj.id]))
+                if j is None or a not in germ.left_divs[j] or b not in germ.left_divs[j]:
+                    raise GermValidationError(
+                        f"pair ({simples[a].name}, {simples[b].name}) lacks a join"
+                    )
+                germ.join_table[(a, b)] = j
+
+    # Atoms generate: every simple is a product of atoms.
+    nontrivial_products = {
+        c for (a, b), c in product.items()
+        if length[a] > 0 and length[b] > 0
+    }
+    germ.atoms = sorted(
+        s.id for s in simples if length[s.id] > 0 and s.id not in nontrivial_products
+    )
+    reach = set(germ.identity)
+    frontier = list(reach)
+    while frontier:
+        new = []
+        for u in frontier:
+            for a in germ.atoms:
+                c = product.get((u, a))
+                if c is not None and c not in reach:
+                    reach.add(c)
+                    new.append(c)
+        frontier = new
+    if len(reach) != len(simples):
+        missing = next(s for s in simples if s.id not in reach)
+        raise GermValidationError(f"simple {missing.name!r} is not a product of atoms")
+
+    return germ
+
+
+def permutation_order(perm: list[int]) -> int:
+    """The order of a permutation, by walking each cycle and folding gcds."""
+    order = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        n = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            n += 1
+        order = order * n // math.gcd(order, n)
+    return order

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from garside import parse_word, validate
@@ -9,7 +11,7 @@ from garside.builtins import (
     dual_braid,
     rank2_counterexample,
 )
-from garside.germ import GermError
+from garside.germ import GermError, table_to_text
 from garside.nerve import garside_dimension
 from garside.words import delta_power_nf, is_loop
 
@@ -31,6 +33,41 @@ from garside.words import delta_power_nf, is_loop
 )
 def test_every_builtin_validates(family, param):
     validate(build(family, param))
+
+
+# SHA-256 of table_to_text(build(family, param)) for every family and
+# parameter, recorded before the generators computed each length only once:
+# ids, names and product order must not move.
+TABLE_SHA256 = {
+    ("artin_symmetric", 2): "46041aa142deff29a139d8ccdd73dce3ad1386363bfe66e68721bb8fd9a6bafd",
+    ("artin_symmetric", 3): "9ec45ff3472835e3eb8e7e36e4be11e8062f99eb20c0519d6bfc8763ecd72d1f",
+    ("artin_symmetric", 4): "a31680cee12f1241ba0e5c575cafb78146814274d19ca487a753f7f2301c87de",
+    ("artin_symmetric", 5): "dd78246c9de16ff0661f29d88f00a4d49013ce16db5ddca51c6100ecac5e9189",
+    ("artin_symmetric", 6): "81f959233573dacd55821b069ead75303a9cfae830735cc0dd095105da2bd246",
+    ("dual_braid", 2): "2a75ae4a91676f227871951085e666b8482345a501f2835e483874f2b752fb52",
+    ("dual_braid", 3): "789d0560d15ca2a1d43f8697a5db23ebd4df9588cb04807c9f43a17f5705a9b6",
+    ("dual_braid", 4): "088659186ca86d004a40306fd821d82f731445ba960b0c91e43b7f4dba58145b",
+    ("dual_braid", 5): "fda6cc39a3adbf4ebe43064dc243073e880ce8f8d28aa41e7242398cb21672a5",
+    ("dual_braid", 6): "291e6ea8d84161e843c6dd171219a2c74f931c4c5211a82dc5e10d6f28706419",
+    ("dihedral_chamber", 2): "39b285544e75a97342c2bf79468e200b19246913311b9bb58cce2346a49f1347",
+    ("dihedral_chamber", 3): "f68752ed5a7417f661939784118f05d55bf92205504bd8f45caea1ba9a9dc81c",
+    ("dihedral_chamber", 4): "9f828d3d4efba6f349e1a99255c9b5a6167c3e9ed4daaf418d72794d3bfb87c6",
+    ("dihedral_chamber", 5): "f7708e3df3aebc6eacad087747750f68258e1117128c8a4ae9553a9a86fce680",
+    ("dihedral_chamber", 6): "d7139a023c268b0aaf0e959ad86571bf89ea92e5a71d56ce552325f7e0957481",
+    ("dihedral_chamber", 7): "748abb58941f3da6a1c07376da6742631c90d476bdd25a573d36d08c9932b761",
+    ("dihedral_chamber", 8): "86154d4bd1ea2bc771524ab14a2f0918b33a935f99e075edb3c4c0b1c6b07635",
+    ("dihedral_chamber", 9): "e0579765d2bb5b2161d3b80abcfbe0941e9b171dc77c8c5357d58dd78e474d2c",
+    ("dihedral_chamber", 10): "f32536bd96ded7d84f484332eccbdfb8ad91cb0aa6f020b4849edd152bc5cd1f",
+    ("dihedral_chamber", 11): "99895efbcd241c7c1c79587ea2f6837e7b9c8e0ae0f4efda728639e9f3962760",
+    ("dihedral_chamber", 12): "12dc13d67e5910cdcd5f39400140381953a4fa63e5408200e855f535da2c9c6d",
+    ("rank2_counterexample", None): "7b07f91b2ec0f9c9d39058f0c1fa5afa8e15e3d5920e186aad59a02316cdbc15",
+}
+
+
+@pytest.mark.parametrize("family,param", sorted(TABLE_SHA256, key=str))
+def test_builtin_tables_are_pinned(family, param):
+    text = table_to_text(build(family, param))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TABLE_SHA256[(family, param)]
 
 
 def test_param_ranges():

@@ -244,3 +244,30 @@ def test_missing_source_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["validate"])
     assert err.value.code == 2
+
+
+# The A₂ germ with names holding commas: st,s and s,ts used to print alike.
+COMMA_NAMES = {"s": "a,b", "t": "c", "st": "a,b,q", "ts": "q,a,b"}
+
+
+def test_divide_keeps_tuple_names_apart(tmp_path, capsys):
+    lines = Path(A2).read_text(encoding="utf-8").splitlines()
+    text = "\n".join(" ".join(COMMA_NAMES.get(tok, tok) for tok in line.split()) for line in lines)
+    germ_file, export = tmp_path / "commas.germ", tmp_path / "divided.germ"
+    germ_file.write_text(text + "\n", encoding="utf-8")
+    assert run(capsys, "validate", "--file", str(germ_file))[0] == 0
+    code, out = run(capsys, "divide", "--file", str(germ_file), "--m", "2", "--out", str(export))
+    assert code == 0
+    assert "objects: 6" in out
+    divided_germ = validate(parse_germ(export.read_text(encoding="utf-8")))
+    names = {o.name for o in divided_germ.objects}
+    assert {"((5'a,b,q),(3'a,b))", "((3'a,b),(5'q,a,b))"} <= names
+
+
+def test_internal_error_exits_5(monkeypatch, capsys):
+    from garside import periodic
+
+    monkeypatch.setattr(periodic, "ladder_target", lambda *args: None)
+    argv = ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == "internal error: slide does not map to a ladder\n"

@@ -1,6 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from garside import (
     equal,
@@ -301,3 +304,16 @@ def test_divided_and_fixed_germs_roundtrip_through_text(request, base, m):
         for (a, b), c in rep.subgerm.product.items():
             assert g.product[(inc[a], inc[b])] == inc[c]
     assert fixed > 0
+
+
+NAMES = st.from_regex(r"[a-c1',()]{1,4}", fullmatch=True)
+
+
+@given(st.lists(st.lists(NAMES, min_size=1, max_size=3), min_size=2, max_size=2))
+def test_tuple_names_are_injective(tuples):
+    names = sorted({n for t in tuples for n in t})
+    germ = SimpleNamespace(simple_name=names.__getitem__)
+    f, g = (tuple(names.index(n) for n in t) for t in tuples)
+    assert (tuple_name(germ, f) == tuple_name(germ, g)) == (f == g)
+    if all(set(n).isdisjoint("(),") for n in names):
+        assert tuple_name(germ, f) == "(" + ",".join(names[i] for i in f) + ")"

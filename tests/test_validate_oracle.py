@@ -1,0 +1,150 @@
+"""
+validate against the set-based reference validator in oracles.py: the same
+derived tables on every builtin, divided and fixed germ, and the same verdict
+and message on mutated product tables.
+"""
+
+from functools import cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from garside import GermError, GermTable, builtins, divided, parse_germ, phi_automorphism, validate
+from garside.conjugacy import fixed_subgerm
+
+import oracles
+from test_germ import NON_LATTICE, UNEVEN_DELTAS
+
+DERIVED = ("delta", "complement_", "phi_simple", "phi_order", "meet_table", "join_table", "atoms")
+
+BUILTINS = (
+    [("artin_symmetric", n) for n in range(2, 6)]
+    + [("dual_braid", n) for n in range(2, 7)]
+    + [("dihedral_chamber", m) for m in range(2, 13)]
+    + [("rank2_counterexample", None)]
+)
+
+
+def copy_table(t) -> GermTable:
+    """A fresh GermTable with the same ids and product order (also from a validated germ)."""
+    return GermTable(t.objects, t.simples, dict(t.product), list(t.identity), dict(t.declared_delta))
+
+
+def outcome(check, table):
+    try:
+        germ = check(copy_table(table))
+    except GermError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", tuple(getattr(germ, attr) for attr in DERIVED)
+
+
+def assert_agrees(table) -> None:
+    got, want = outcome(validate, table), outcome(oracles.reference_validate, table)
+    assert got == want
+
+
+@cache
+def base_table(name: str) -> GermTable:
+    if name == "a2":
+        return parse_germ((Path(__file__).parent / "data" / "a2.germ").read_text(encoding="utf-8"))
+    return {
+        "rank2": builtins.rank2_counterexample,
+        "chamber3": lambda: builtins.dihedral_chamber(3),
+        "dual3": lambda: builtins.dual_braid(3),
+    }[name]()
+
+
+DIVIDED = [("a2", 3), ("rank2", 3), ("chamber3", 2), ("dual3", 2)]
+
+
+@cache
+def divided_germ(name: str, m: int):
+    return divided.build_divided_germ(validate(base_table(name)), m).germ
+
+
+@pytest.mark.parametrize("family,param", BUILTINS)
+def test_builtin_matches_reference(family, param):
+    assert_agrees(builtins.build(family, param))
+
+
+@pytest.mark.parametrize("name,m", DIVIDED)
+def test_divided_germ_matches_reference(name, m):
+    assert_agrees(divided_germ(name, m))
+
+
+def fixed_germs():
+    cases = [(name, None) for name in ("a2", "rank2", "chamber3", "dual3")] + DIVIDED
+    for name, m in cases:
+        germ = validate(base_table(name)) if m is None else divided_germ(name, m)
+        for p in range(1, germ.phi_order):
+            report = fixed_subgerm(germ, phi_automorphism(germ, p))
+            if not report.is_empty:
+                yield pytest.param(report.subgerm, id=f"{name}-m{m}-p{p}")
+
+
+@pytest.mark.parametrize("sub", list(fixed_germs()))
+def test_fixed_subgerm_matches_reference(sub):
+    assert_agrees(sub)
+
+
+# NON_LATTICE with u and v declared first, so the pair (u, v) lacking a meet
+# comes before the pair (a, b) lacking a join.
+NO_MEET = NON_LATTICE.replace("simple u : x -> x len 2\nsimple v : x -> x len 2\n", "").replace(
+    "object x\n", "object x\nsimple u : x -> x len 2\nsimple v : x -> x len 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (NON_LATTICE, "pair (a, b) lacks a join"),
+        (NO_MEET, "pair (u, v) lacks a meet"),
+        (UNEVEN_DELTAS, "phi does not preserve the graph at 'a'"),
+    ],
+)
+def test_known_failures_match_reference(text, message):
+    table = parse_germ(text)
+    assert outcome(validate, table) == outcome(oracles.reference_validate, table)
+    assert outcome(validate, table) == ("GermValidationError", message)
+
+
+@st.composite
+def mutated_table(draw):
+    """A base table with one to three products dropped, redirected or added."""
+    table = copy_table(base_table(draw(st.sampled_from(["a2", "rank2", "chamber3", "dual3"]))))
+    simples, product = table.simples, table.product
+    units = set(table.identity)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "redirect", "add"]))
+        steps = [k for k in product if k[0] not in units and k[1] not in units]
+        if kind == "add":
+            a = draw(st.sampled_from([s for s in simples if s.id not in units]))
+            after = [s.id for s in simples if s.source == a.target and s.id not in units]
+            b = simples[draw(st.sampled_from(after))]
+            fitting = [
+                s.id for s in simples
+                if (s.source, s.target, s.length) == (a.source, b.target, a.length + b.length)
+            ]
+            pool = fitting if fitting and draw(st.booleans()) else range(len(simples))
+            product.setdefault((a.id, b.id), draw(st.sampled_from(sorted(pool))))
+        elif steps:
+            key = draw(st.sampled_from(steps))
+            if kind == "drop":
+                del product[key]
+            else:
+                c = simples[product[key]]
+                others = [
+                    s.id for s in simples
+                    if s.id != c.id and (s.source, s.target, s.length) == (c.source, c.target, c.length)
+                ]
+                if others:
+                    product[key] = draw(st.sampled_from(others))
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_table())
+def test_mutated_tables_match_reference(table):
+    assert_agrees(table)
