@@ -169,6 +169,8 @@ def build(family: str, param: int | None = None) -> GermTable:
     if family == "dihedral_chamber":
         return dihedral_chamber(_need(family, param))
     if family == "rank2_counterexample":
+        if param is not None:
+            raise GermError(f"builtin family {family!r} takes no --param")
         return rank2_counterexample()
     raise GermError(f"unknown builtin family {family!r}; choose from {FAMILIES}")
 

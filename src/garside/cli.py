@@ -1,6 +1,10 @@
 """
 cli: command-line front end.
 
+COMMANDS is the one table of subcommands. Each takes a germ source (`--file`,
+or `--builtin` with `--param`), `--json-like` and only its own flags; any
+other flag is a usage error.
+
 Exit codes: 0 success; 1 germ validation failure; 2 parse/usage error;
 3 computation budget exceeded; 4 honest negative (not conjugate, not
 periodic, no length-one representative, no fixed objects); 5 internal error
@@ -44,7 +48,9 @@ FAILURES = [
     (GermValidationError, "validation error", EXIT_VALIDATION),
     (BudgetExceeded, "error", EXIT_BUDGET),
     (InternalError, "internal error", EXIT_INTERNAL),
-    ((GermError, KeyError, OSError), "error", EXIT_USAGE),
+    (GermError, "error", EXIT_USAGE),
+    (KeyError, "error", EXIT_USAGE),
+    (OSError, "error", EXIT_USAGE),
 ]
 
 
@@ -64,24 +70,12 @@ class Reporter:
             print(line)
 
 
-class HonestNegative(Exception):
-    pass
-
-
 def load_germ(args) -> GarsideGerm:
-    if args.file:
-        text = Path(args.file).read_text(encoding="utf-8")
-        table = parse_germ(text)
-    else:
-        table = germ_builtins.build(args.builtin, args.param)
-    return validate(table)
-
-
-def get_words(args, germ: GarsideGerm, n: int) -> list[words.NormalForm]:
-    given = args.word or []
-    if len(given) != n:
-        raise GermError(f"this subcommand expects --word exactly {n} time(s)")
-    return [words.parse_word(germ, w) for w in given]
+    if not args.file:
+        return validate(germ_builtins.build(args.builtin, args.param))
+    if args.param is not None:
+        raise GermError("--param goes with --builtin, not --file")
+    return validate(parse_germ(Path(args.file).read_text(encoding="utf-8")))
 
 
 def _nf_report(rep: Reporter, germ: GarsideGerm, f: words.NormalForm, prefix: str) -> None:
@@ -93,11 +87,10 @@ def _nf_report(rep: Reporter, germ: GarsideGerm, f: words.NormalForm, prefix: st
     rep.add(f"{prefix}_canonical_length", f.canonical_length)
 
 
-def cmd_validate(args, rep: Reporter) -> int:
-    germ = load_germ(args)
-    rep.add("objects", len(germ.objects), f"objects: {len(germ.objects)}")
-    rep.add("simples", len(germ.simples), f"simples: {len(germ.simples)}")
-    rep.add("atoms", len(germ.atoms), f"atoms: {len(germ.atoms)}")
+def cmd_validate(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    rep.add("objects", len(germ.objects))
+    rep.add("simples", len(germ.simples))
+    rep.add("atoms", len(germ.atoms))
     rep.add("phi_order", germ.phi_order)
     rep.add("garside_dimension", nerve.garside_dimension(germ))
     rep.add("components", len(components(germ)))
@@ -107,38 +100,28 @@ def cmd_validate(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_nf(args, rep: Reporter) -> int:
-    germ = load_germ(args)
-    (f,) = get_words(args, germ, 1)
-    _nf_report(rep, germ, f, "nf")
+def cmd_nf(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    _nf_report(rep, germ, forms[0], "nf")
     return EXIT_OK
 
 
-def cmd_mul(args, rep: Reporter) -> int:
-    germ = load_germ(args)
-    f, g = get_words(args, germ, 2)
-    _nf_report(rep, germ, words.multiply(germ, f, g), "product")
+def cmd_mul(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    _nf_report(rep, germ, words.multiply(germ, *forms), "product")
     return EXIT_OK
 
 
-def cmd_inv(args, rep: Reporter) -> int:
-    germ = load_germ(args)
-    (f,) = get_words(args, germ, 1)
-    _nf_report(rep, germ, words.invert(germ, f), "inverse")
+def cmd_inv(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    _nf_report(rep, germ, words.invert(germ, *forms), "inverse")
     return EXIT_OK
 
 
-def cmd_conj(args, rep: Reporter) -> int:
-    germ = load_germ(args)
-    g, c = get_words(args, germ, 2)
-    _nf_report(rep, germ, conjugacy.conjugate(germ, g, c), "conjugate")
+def cmd_conj(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    _nf_report(rep, germ, conjugacy.conjugate(germ, *forms), "conjugate")
     return EXIT_OK
 
 
-def cmd_summit(args, rep: Reporter) -> int:
-    germ = load_germ(args)
-    (g,) = get_words(args, germ, 1)
-    sset = conjugacy.summit_set(germ, g, Budget(args.budget))
+def cmd_summit(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    sset = conjugacy.summit_set(germ, *forms, Budget(args.budget))
     summit, conjugator = next(iter(sset.items()))
     _nf_report(rep, germ, summit, "summit")
     rep.add("summit_conjugator", words.format_word(germ, conjugator))
@@ -148,21 +131,17 @@ def cmd_summit(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_isconj(args, rep: Reporter) -> int:
-    germ = load_germ(args)
-    g, h = get_words(args, germ, 2)
-    witness = conjugacy.are_conjugate(germ, g, h, Budget(args.budget))
+def cmd_isconj(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    witness = conjugacy.are_conjugate(germ, *forms, Budget(args.budget))
     if witness is None:
         rep.add("conjugate", "no", "not conjugate")
-        rep.flush()
-        raise HonestNegative("not conjugate")
+        return EXIT_NEGATIVE
     rep.add("conjugate", "yes", "conjugate")
     rep.add("witness", words.format_word(germ, witness.c))
     return EXIT_OK
 
 
-def cmd_divide(args, rep: Reporter) -> int:
-    germ = load_germ(args)
+def cmd_divide(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     counts = divided.count_subdivisions(germ, args.m)
     total = sum(counts.values())
     if args.count:
@@ -182,31 +161,25 @@ def cmd_divide(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_theta(args, rep: Reporter) -> int:
-    germ = load_germ(args)
-    (f,) = get_words(args, germ, 1)
+def cmd_theta(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     dg = divided.build_divided_germ(germ, args.m)
-    img = divided.theta_morphism(dg, f)
+    img = divided.theta_morphism(dg, *forms)
     _nf_report(rep, dg.germ, img, "theta")
     return EXIT_OK
 
 
-def cmd_periodic(args, rep: Reporter) -> int:
-    germ = load_germ(args)
-    (g,) = get_words(args, germ, 1)
-    cert = periodic.is_periodic(germ, g, args.p, args.q)
+def cmd_periodic(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    cert = periodic.is_periodic(germ, *forms, args.p, args.q)
     if cert is None:
         rep.add("periodic", "no", f"not {args.p}/{args.q}-periodic")
-        rep.flush()
-        raise HonestNegative("not periodic")
+        return EXIT_NEGATIVE
     rep.add("periodic", "yes", f"{args.p}/{args.q}-periodic")
     if not args.certify:
         return EXIT_OK
     bf = periodic.find_bestvina_form(germ, cert, Budget(args.budget))
     if isinstance(bf, periodic.NoLengthOneRepresentative):
         rep.add("bestvina", "none", f"no length-one representative: {bf.reason}")
-        rep.flush()
-        raise HonestNegative(bf.reason)
+        return EXIT_NEGATIVE
     rep.add(
         "bestvina",
         f"({germ.simple_name(bf.s)}, k={bf.k})",
@@ -221,8 +194,7 @@ def cmd_periodic(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args, rep: Reporter) -> int:
-    germ = load_germ(args)
+def cmd_classify(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     cl = periodic.classify_periodic(germ, args.p, args.q)
     rep.add("classes", len(cl.components))
     for i, (comp, r) in enumerate(zip(cl.components, cl.representatives)):
@@ -232,14 +204,12 @@ def cmd_classify(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_centralizer(args, rep: Reporter) -> int:
-    germ = load_germ(args)
+def cmd_centralizer(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     try:
         report = periodic.centralizer_germ(germ, args.p)
     except GermError as exc:
         rep.add("centralizer", "none", str(exc))
-        rep.flush()
-        raise HonestNegative(str(exc)) from None
+        return EXIT_NEGATIVE
     sub = report.subgerm
     rep.add("fixed_objects", len(sub.objects))
     rep.add("fixed_simples", len(sub.simples))
@@ -248,8 +218,7 @@ def cmd_centralizer(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_nerve(args, rep: Reporter) -> int:
-    germ = load_germ(args)
+def cmd_nerve(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     dim = nerve.garside_dimension(germ)
     top = args.dim if args.dim is not None else dim
     counts = [len(nerve.enumerate_nondegenerate(germ, n)) for n in range(top + 1)]
@@ -266,8 +235,7 @@ def cmd_nerve(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_zpoly(args, rep: Reporter) -> int:
-    germ = load_germ(args)
+def cmd_zpoly(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     dim = nerve.garside_dimension(germ)
     samples = args.samples if args.samples is not None else dim + 2
     z = nerve.fit_z_polynomial(germ, samples)
@@ -278,8 +246,7 @@ def cmd_zpoly(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_cover(args, rep: Reporter) -> int:
-    germ = load_germ(args)
+def cmd_cover(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     basepoint = germ.object_named(args.source) if args.source else 0
     ball = nerve.cover_ball(germ, basepoint, args.radius)
     rep.add("vertices", len(ball.vertices))
@@ -290,8 +257,7 @@ def cmd_cover(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_builtin(args, rep: Reporter) -> int:
-    germ = load_germ(args)
+def cmd_builtin(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     rep.add("objects", len(germ.objects))
     rep.add("simples", len(germ.simples))
     if args.out:
@@ -300,23 +266,52 @@ def cmd_builtin(args, rep: Reporter) -> int:
     return EXIT_OK
 
 
+# flag -> add_argument keywords; a subcommand takes those COMMANDS lists for it.
+FLAGS = {
+    "--word": dict(action="append", default=[], help="morphism word (repeatable)"),
+    "--m": dict(type=int, default=1, help="subdivision order"),
+    "--p": dict(type=int, default=1),
+    "--q": dict(type=int, default=1),
+    "--source": dict(help="object name"),
+    "--radius": dict(type=int, default=1),
+    "--dim": dict(type=int),
+    "--samples": dict(type=int),
+    "--count": dict(action="store_true", help="print a count only"),
+    "--certify": dict(action="store_true"),
+    "--out": dict(help="output file for exports"),
+    "--budget": dict(type=int, default=2_000_000),
+}
+
+# name -> (handler, help, number of --word arguments, flags besides the source).
+# A handler takes the germ, the --word normal forms, the arguments and the
+# reporter, and returns an exit code.
 COMMANDS = {
-    "validate": (cmd_validate, "validate a germ and print its invariants"),
-    "nf": (cmd_nf, "greedy normal form of a word"),
-    "mul": (cmd_mul, "multiply two words"),
-    "inv": (cmd_inv, "invert a word"),
-    "conj": (cmd_conj, "conjugate a loop by a word"),
-    "summit": (cmd_summit, "cycle/decycle to a summit and list the summit set"),
-    "isconj": (cmd_isconj, "decide conjugacy of two loops"),
-    "divide": (cmd_divide, "build or count the m-divided germ"),
-    "theta": (cmd_theta, "image of a word under Theta_m"),
-    "periodic": (cmd_periodic, "test periodicity; --certify builds the conjugator"),
-    "classify": (cmd_classify, "conjugacy classes of p/q-periodic loops"),
-    "centralizer": (cmd_centralizer, "fixed germ presenting the centralizer of Delta^p"),
-    "nerve": (cmd_nerve, "nondegenerate simplex counts and cyclic identities"),
-    "zpoly": (cmd_zpoly, "fit the subdivision-counting polynomial"),
-    "cover": (cmd_cover, "bounded ball of the universal cover, DOT export"),
-    "builtin": (cmd_builtin, "generate a builtin germ"),
+    "validate": (cmd_validate, "validate a germ and print its invariants", 0, ["--out"]),
+    "nf": (cmd_nf, "greedy normal form of a word", 1, []),
+    "mul": (cmd_mul, "multiply two words", 2, []),
+    "inv": (cmd_inv, "invert a word", 1, []),
+    "conj": (cmd_conj, "conjugate a loop by a word", 2, []),
+    "summit": (cmd_summit, "cycle/decycle to a summit and list the summit set", 1, ["--budget"]),
+    "isconj": (cmd_isconj, "decide conjugacy of two loops", 2, ["--budget"]),
+    "divide": (cmd_divide, "build or count the m-divided germ", 0, ["--m", "--count", "--out"]),
+    "theta": (cmd_theta, "image of a word under Theta_m", 1, ["--m"]),
+    "periodic": (
+        cmd_periodic, "test periodicity; --certify builds the conjugator", 1,
+        ["--p", "--q", "--certify", "--budget"],
+    ),
+    "classify": (cmd_classify, "conjugacy classes of p/q-periodic loops", 0, ["--p", "--q"]),
+    "centralizer": (
+        cmd_centralizer, "fixed germ presenting the centralizer of Delta^p", 0, ["--p"],
+    ),
+    "nerve": (
+        cmd_nerve, "nondegenerate simplex counts and cyclic identities", 0, ["--dim", "--out"],
+    ),
+    "zpoly": (cmd_zpoly, "fit the subdivision-counting polynomial", 0, ["--samples"]),
+    "cover": (
+        cmd_cover, "bounded ball of the universal cover, DOT export", 0,
+        ["--source", "--radius", "--out"],
+    ),
+    "builtin": (cmd_builtin, "generate a builtin germ", 0, ["--out"]),
 }
 
 
@@ -325,44 +320,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="garside",
         description="finite-type Garside categories from germ descriptions",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    src = shared.add_mutually_exclusive_group(required=True)
+    src.add_argument("--file", help="path to a germ file")
+    src.add_argument("--builtin", choices=germ_builtins.FAMILIES, help="builtin germ family")
+    shared.add_argument("--param", type=int, help="builtin family parameter")
+    shared.add_argument("--json-like", dest="json_like", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--file", help="path to a germ file")
-        src.add_argument(
-            "--builtin", choices=germ_builtins.FAMILIES, help="builtin germ family"
-        )
-        p.add_argument("--param", type=int, help="builtin family parameter")
-        p.add_argument("--word", action="append", help="morphism word (repeatable)")
-        p.add_argument("--m", type=int, default=1, help="subdivision order")
-        p.add_argument("--p", type=int, default=1)
-        p.add_argument("--q", type=int, default=1)
-        p.add_argument("--source", help="object name")
-        p.add_argument("--radius", type=int, default=1)
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--count", action="store_true", help="print a count only")
-        p.add_argument("--certify", action="store_true")
-        p.add_argument("--out", help="output file for exports")
-        p.add_argument("--budget", type=int, default=2_000_000)
-        p.add_argument("--json-like", dest="json_like", action="store_true")
+    for name, (_, help_text, n_words, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, parents=[shared])
+        for flag in (["--word"] if n_words else []) + flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget <= 0:
+    if getattr(args, "budget", 1) <= 0:
         print("error: --budget must be positive", file=sys.stderr)
         return EXIT_USAGE
     rep = Reporter(args.json_like)
-    handler = COMMANDS[args.command][0]
+    handler, _, n_words, _ = COMMANDS[args.command]
     try:
-        code = handler(args, rep)
-    except HonestNegative:
-        return EXIT_NEGATIVE
-    except (GermError, KeyError, OSError) as exc:
+        germ = load_germ(args)
+        given = getattr(args, "word", [])
+        if len(given) != n_words:
+            raise GermError(f"this subcommand expects --word exactly {n_words} time(s)")
+        code = handler(germ, [words.parse_word(germ, w) for w in given], args, rep)
+    except tuple(kind for kind, _, _ in FAILURES) as exc:
         prefix, code = next((p, c) for kind, p, c in FAILURES if isinstance(exc, kind))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code

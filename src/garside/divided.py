@@ -57,6 +57,8 @@ def count_subdivisions(germ: GarsideGerm, m: int) -> dict[int, int]:
     |D_m| per object via multichain counting in (S_{x->}, ≤):
     an m-subdivision at x is an (m-1)-multichain 1 ≤ u_1 ≤ ... ≤ u_{m-1} ≤ Δ_x.
     """
+    if m < 1:
+        raise GermError("m must be a positive integer")
     counts: dict[int, int] = {}
     for obj in germ.objects:
         # chains[u] = number of multichains of the current depth ending at u

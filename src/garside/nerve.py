@@ -107,6 +107,8 @@ def check_cyclic_identities(germ: GarsideGerm, up_to_dim: int) -> CyclicReport:
     (a) degeneracy-after-face is the φ-twisted cyclic shift on Δ-subdivisions;
     (b) (n+1)-fold face-after-degeneracy applies φ factor-wise on n-simplices.
     """
+    if up_to_dim < 0:
+        raise GermError("dimension must be non-negative")
     checked = 0
     bad_shift: list[NerveSimplex] = []
     bad_power: list[NerveSimplex] = []
@@ -239,13 +241,10 @@ def cover_ball(germ: GarsideGerm, basepoint: int, radius: int) -> CoverBall:
 
 # -- exports -----------------------------------------------------------------
 
-def nerve_export_lines(germ: GarsideGerm, up_to_dim: int, nondegenerate: bool = True) -> list[str]:
+def nerve_export_lines(germ: GarsideGerm, up_to_dim: int) -> list[str]:
     lines = []
     for n in range(up_to_dim + 1):
-        simplices = (
-            enumerate_nondegenerate(germ, n) if nondegenerate else enumerate_simplices(germ, n)
-        )
-        for sx in simplices:
+        for sx in enumerate_nondegenerate(germ, n):
             names = " ".join(germ.simple_name(s) for s in sx.factors)
             lines.append(
                 f"simplex {n} @ {germ.object_name(sx.basepoint)} : {names}".rstrip()

@@ -289,8 +289,6 @@ class PeriodicClassification:
     p: int
     q: int
     k: int
-    divided: DividedGerm
-    fixed: FixedGermReport
     components: list[list[DividedObject]]   # fixed objects grouped by component
     representatives: list[NormalForm]       # one (f_1; k) loop per component
 
@@ -320,7 +318,7 @@ def classify_periodic(germ: GarsideGerm, p: int, q: int) -> PeriodicClassificati
             comps.append(tuples)
             f1 = tuples[0][0]
             reps.append(normal_form(germ, [f1], k))
-    return PeriodicClassification(p, q, k, dg, fixed, comps, reps)
+    return PeriodicClassification(p, q, k, comps, reps)
 
 
 def centralizer_germ(germ: GarsideGerm, p: int) -> FixedGermReport:

@@ -210,12 +210,11 @@ def reference_check_table(table) -> None:
                 )
 
 
-def reference_validate(table):
+def reference_delta(table):
     """
-    The set-based validator: Δ by an all-pairs scan, meets and joins as the
-    longest common divisor checked against every common divisor, and the
-    atom closure over every atom. Same checks, order and messages as
-    garside.validate.
+    The reference's checks up to Δ: the table invariants, cancellativity,
+    the divisor and quotient tables, and Δ_x as the maximum of S_{x->}.
+    These are what the complement's order reversal rests on.
     """
     reference_check_table(table)
     germ = GarsideGerm(table)
@@ -269,6 +268,38 @@ def reference_validate(table):
             raise GermValidationError(
                 f"declared delta {simples[declared].name!r} at {obj.name!r} is not the maximum"
             )
+    return germ
+
+
+def antitone_witness(germ, out: list[int]) -> tuple[int, int] | None:
+    """
+    The first pair (a, b) of simples out of one object where a ≤ b and
+    "complement(b) right-divides complement(a)" disagree, or None.
+
+    garside.validate does not run this check, because it cannot fail once
+    associativity, cancellativity and Δ hold: b = a·c gives ā = c·b̄ by
+    associativity and left cancellation, and ā = c·b̄ gives b = a·c by
+    associativity and right cancellation.
+    """
+    for a in out:
+        for b in out:
+            le = a in germ.left_divs[b]
+            ge = germ.complement_[b] in germ.right_divs[germ.complement_[a]]
+            if le != ge:
+                return a, b
+    return None
+
+
+def reference_validate(table):
+    """
+    The set-based validator: Δ by an all-pairs scan, meets and joins as the
+    longest common divisor checked against every common divisor, and the
+    atom closure over every atom. Same checks, order and messages as
+    garside.validate, plus the complement antitone check that it omits.
+    """
+    germ = reference_delta(table)
+    simples = germ.simples
+    product = germ.product
     germ.phi_obj = [simples[germ.delta[oid]].target for oid in range(len(germ.objects))]
     if sorted(germ.phi_obj) != list(range(len(germ.objects))):
         raise GermValidationError("targets of the delta simples do not permute objects")
@@ -295,16 +326,12 @@ def reference_validate(table):
             raise GermValidationError(
                 f"complement is not a bijection at object {obj.name!r}"
             )
-        for a in out:
-            for b in out:
-                le = a in germ.left_divs[b]
-                # antitone: a ≤ b iff complement(b) right-divides complement(a)
-                ge = germ.complement_[b] in germ.right_divs[germ.complement_[a]]
-                if le != ge:
-                    raise GermValidationError(
-                        f"complement not antitone at pair "
-                        f"({simples[a].name}, {simples[b].name})"
-                    )
+        pair = antitone_witness(germ, out)
+        if pair is not None:
+            a, b = pair
+            raise GermValidationError(
+                f"complement not antitone at pair ({simples[a].name}, {simples[b].name})"
+            )
 
     # φ = double complement; must be a germ automorphism.
     germ.phi_simple = [germ.complement_[germ.complement_[s.id]] for s in simples]

@@ -84,6 +84,14 @@ def test_param_ranges():
         build("dual_braid", None)
 
 
+def test_rank2_takes_no_param():
+    with pytest.raises(GermError, match="takes no --param"):
+        build("rank2_counterexample", 7)
+    assert table_to_text(build("rank2_counterexample", None)) == table_to_text(
+        rank2_counterexample()
+    )
+
+
 def test_artin_sizes(artin3, artin4):
     assert len(artin3.simples) == 6
     assert len(artin4.simples) == 24

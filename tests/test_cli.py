@@ -271,3 +271,45 @@ def test_internal_error_exits_5(monkeypatch, capsys):
     argv = ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"]
     assert main(argv) == 5
     assert capsys.readouterr().err == "internal error: slide does not map to a ladder\n"
+
+
+def usage_error(capsys, *argv) -> str:
+    """Run a command that must be a usage error; return its stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+    return err
+
+
+def test_flag_of_another_subcommand_is_usage_error(capsys):
+    err = usage_error(capsys, "nf", "--file", A2, "--word", "s", "--m", "3")
+    assert "unrecognized arguments: --m 3" in err
+
+
+def test_param_with_file_is_usage_error(capsys):
+    err = usage_error(capsys, "validate", "--file", A2, "--param", "7")
+    assert err == "error: --param goes with --builtin, not --file\n"
+
+
+def test_param_with_rank2_is_usage_error(capsys):
+    err = usage_error(capsys, "validate", "--builtin", "rank2_counterexample", "--param", "7")
+    assert err == "error: builtin family 'rank2_counterexample' takes no --param\n"
+
+
+def test_negative_nerve_dimension_is_usage_error(capsys):
+    err = usage_error(capsys, "nerve", "--file", A2, "--dim", "-1")
+    assert err == "error: dimension must be non-negative\n"
+
+
+def test_divide_count_needs_a_positive_m(capsys):
+    err = usage_error(capsys, "divide", "--file", A2, "--m", "-1", "--count")
+    assert err == "error: m must be a positive integer\n"
+
+
+def test_zero_budget_is_usage_error(capsys):
+    err = usage_error(capsys, "summit", "--file", A2, "--word", "s", "--budget", "0")
+    assert err == "error: --budget must be positive\n"

@@ -1,9 +1,12 @@
 """
 CLI outputs pinned byte for byte: each case's stdout is stored verbatim in
 tests/data/pinned/<name>.out, and `--out` exports are pinned by SHA-256.
-The files were captured from the CLI before divided and fixed germs were
-assembled from ids, so they also pin that the id layout matches the one the
-name-based route produced.
+The divide, classify, periodic, theta, summit and centralizer files were
+captured from the CLI before divided and fixed germs were assembled from ids,
+so they also pin that the id layout matches the one the name-based route
+produced; the other files were captured before the parser was rebuilt from
+one table of flags per subcommand. The flags each subcommand accepts are
+pinned too.
 """
 
 import hashlib
@@ -11,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from garside.cli import main
+from garside.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 A2 = str(DATA / "a2.germ")
@@ -65,6 +68,34 @@ CASES = {
     "centralizer_artin4_p1": (["centralizer", *ARTIN, "4", "--p", "1"], 0, None),
     "centralizer_artin4_p2": (["centralizer", *ARTIN, "4", "--p", "2"], 0, None),
     "centralizer_rank2_p1": (["centralizer", *RANK2, "--p", "1"], 4, None),
+    "validate_a2": (
+        ["validate", "--file", A2, "--out", "atoms.dot"], 0,
+        "c249cbd63c7801d030586578fca6c5cdbd19cc9d0f09a17a48ed079323ff4aa9",
+    ),
+    "validate_dual3_json": (["validate", *DUAL, "3", "--json-like"], 0, None),
+    "nf_a2": (["nf", "--file", A2, "--word", "s t s t t D^-2"], 0, None),
+    "mul_rank2": (["mul", *RANK2, "--word", "a_x b_y", "--word", "a_x D^-1"], 0, None),
+    "inv_dual4": (["inv", *DUAL, "4", "--word", "2134 1324 D^1"], 0, None),
+    "conj_a2": (["conj", "--file", A2, "--word", "s t t", "--word", "t s"], 0, None),
+    "isconj_artin3_yes": (["isconj", *ARTIN, "3", "--word", "s s t", "--word", "t s s"], 0, None),
+    "isconj_dual4_no": (["isconj", *DUAL, "4", "--word", "2134", "--word", "2134 1324"], 4, None),
+    "divide_chamber4_count": (["divide", *CHAMBER, "4", "--m", "3", "--count"], 0, None),
+    "periodic_a2_not_periodic": (
+        ["periodic", "--file", A2, "--word", "s", "--p", "4", "--q", "3"], 4, None,
+    ),
+    "nerve_dual3_dim2": (
+        ["nerve", *DUAL, "3", "--dim", "2", "--out", "nerve.txt"], 0,
+        "24ebb2daa58d2864884cb749a3260c1b59d5c5cdb3bd93d2071c3bf681be6913",
+    ),
+    "cover_a2_r2": (
+        ["cover", "--file", A2, "--source", "x", "--radius", "2", "--out", "ball.dot"], 0,
+        "d330ccacf13bd03549b5658d7647e70fe707f14af54253b6767d047f9acbba7b",
+    ),
+    "builtin_chamber3": (
+        ["builtin", *CHAMBER, "3", "--out", "chamber3.germ"], 0,
+        "f68752ed5a7417f661939784118f05d55bf92205504bd8f45caea1ba9a9dc81c",
+    ),
+    "zpoly_a2_json": (["zpoly", "--file", A2, "--json-like"], 0, None),
 }
 
 
@@ -76,4 +107,41 @@ def test_cli_output_pinned(name, tmp_path, monkeypatch, capsys):
     want = (DATA / "pinned" / f"{name}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
     if digest is not None:
-        assert hashlib.sha256((tmp_path / EXPORT).read_bytes()).hexdigest() == digest
+        export = tmp_path / argv[argv.index("--out") + 1]
+        assert hashlib.sha256(export.read_bytes()).hexdigest() == digest
+
+
+SOURCE = ["--builtin", "--file", "--json-like", "--param"]
+
+# subcommand -> the flags it takes besides SOURCE
+OWN_FLAGS = {
+    "validate": ["--out"],
+    "nf": ["--word"],
+    "mul": ["--word"],
+    "inv": ["--word"],
+    "conj": ["--word"],
+    "summit": ["--budget", "--word"],
+    "isconj": ["--budget", "--word"],
+    "divide": ["--count", "--m", "--out"],
+    "theta": ["--m", "--word"],
+    "periodic": ["--budget", "--certify", "--p", "--q", "--word"],
+    "classify": ["--p", "--q"],
+    "centralizer": ["--p"],
+    "nerve": ["--dim", "--out"],
+    "zpoly": ["--samples"],
+    "cover": ["--out", "--radius", "--source"],
+    "builtin": ["--out"],
+}
+
+
+def test_each_subcommand_takes_only_its_own_flags():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    taken = {
+        name: sorted(
+            opt for action in sub._actions for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        )
+        for name, sub in subparsers.items()
+    }
+    assert taken == {name: sorted(SOURCE + own) for name, own in OWN_FLAGS.items()}
+    assert sum(len(flags) for flags in taken.values()) == 93

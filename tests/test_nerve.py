@@ -155,6 +155,12 @@ def test_cyclic_identities(germ_name, request):
     assert report.checked > 0
 
 
+def test_cyclic_identities_need_a_non_negative_dimension(a2):
+    with pytest.raises(GermError, match="dimension must be non-negative"):
+        check_cyclic_identities(a2, -1)
+    assert check_cyclic_identities(a2, 0).checked == 1
+
+
 def test_double_shift_on_atom(a2):
     s = a2.simple_named("s")
     cur = NerveSimplex(0, (s,))

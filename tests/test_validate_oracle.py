@@ -96,6 +96,9 @@ NO_MEET = NON_LATTICE.replace("simple u : x -> x len 2\nsimple v : x -> x len 2\
 )
 
 
+LATER_FAILURES = {"non_lattice": NON_LATTICE, "no_meet": NO_MEET, "uneven_deltas": UNEVEN_DELTAS}
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -110,10 +113,27 @@ def test_known_failures_match_reference(text, message):
     assert outcome(validate, table) == ("GermValidationError", message)
 
 
+# Tables to mutate: the base germs, their divided germs, and hand-made tables
+# that pass associativity, cancellativity and Δ but fail a later check.
+FUZZ_BASES = (
+    ["a2", "rank2", "chamber3", "dual3"]
+    + [f"{name}/{m}" for name, m in DIVIDED]
+    + sorted(LATER_FAILURES)
+)
+
+
+@cache
+def fuzz_base(name: str):
+    if name in LATER_FAILURES:
+        return parse_germ(LATER_FAILURES[name])
+    base, _, m = name.partition("/")
+    return divided_germ(base, int(m)) if m else base_table(base)
+
+
 @st.composite
 def mutated_table(draw):
-    """A base table with one to three products dropped, redirected or added."""
-    table = copy_table(base_table(draw(st.sampled_from(["a2", "rank2", "chamber3", "dual3"]))))
+    """A fuzz base with one to three products dropped, redirected or added."""
+    table = copy_table(fuzz_base(draw(st.sampled_from(FUZZ_BASES))))
     simples, product = table.simples, table.product
     units = set(table.identity)
     for _ in range(draw(st.integers(1, 3))):
@@ -148,3 +168,31 @@ def mutated_table(draw):
 @given(mutated_table())
 def test_mutated_tables_match_reference(table):
     assert_agrees(table)
+
+
+def antitone_witnesses(table) -> list | None:
+    """
+    The oracle's antitone check on every object of a table that passes the
+    reference's checks through Δ; None if the table fails one of those.
+    """
+    try:
+        germ = oracles.reference_delta(copy_table(table))
+    except GermError:
+        return None
+    germ.complement_ = [germ.lquot[(s.id, germ.delta[s.source])] for s in germ.simples]
+    return [oracles.antitone_witness(germ, germ.by_source[obj.id]) for obj in germ.objects]
+
+
+@pytest.mark.parametrize("name", sorted(LATER_FAILURES))
+def test_antitone_check_is_reached_by_tables_that_fail_later(name):
+    table = parse_germ(LATER_FAILURES[name])
+    assert outcome(oracles.reference_validate, table)[0] == "GermValidationError"
+    assert antitone_witnesses(table) == [None] * len(table.objects)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_table())
+def test_antitone_check_never_fires_past_delta(table):
+    # Why garside.validate omits the check: see oracles.antitone_witness.
+    witnesses = antitone_witnesses(table)
+    assert witnesses is None or witnesses == [None] * len(witnesses)
