@@ -350,7 +350,9 @@ def main(argv: list[str] | None = None) -> int:
         code = handler(germ, [words.parse_word(germ, w) for w in given], args, rep)
     except tuple(kind for kind, _, _ in FAILURES) as exc:
         prefix, code = next((p, c) for kind, p, c in FAILURES if isinstance(exc, kind))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key, which quotes the message.
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"{prefix}: {text}", file=sys.stderr)
         return code
     rep.flush()
     return code

@@ -496,14 +496,9 @@ def validate(table: GermTable) -> GarsideGerm:
     # Complement s̄: s·s̄ = Δ_source(s); a bijection S_{x->} -> S_{->xφ}
     # (axiom (iii)). Its order reversal needs no check: b = a·c gives ā = c·b̄
     # by associativity and left cancellation, and ā = c·b̄ gives b = a·c by
-    # associativity and right cancellation.
-    germ.complement_ = [-1] * len(simples)
-    for s in simples:
-        dx = germ.delta[s.source]
-        bar = germ.lquot.get((s.id, dx))
-        if bar is None:
-            raise GermValidationError(f"no complement: {s.name!r} does not left-divide its delta")
-        germ.complement_[s.id] = bar
+    # associativity and right cancellation. Nor does its existence: each s ≤ Δ_x
+    # has lquot[(s, Δ_x)], from a unit product (s = 1_x, Δ_x) or from s·s̄ = Δ_x.
+    germ.complement_ = [germ.lquot[(s.id, germ.delta[s.source])] for s in simples]
     for obj in germ.objects:
         out = germ.by_source[obj.id]
         into = germ.by_target[germ.phi_obj[obj.id]]

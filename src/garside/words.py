@@ -10,9 +10,13 @@ neither identities nor Δ's, each pair satisfies the greedy condition
 meet(complement(s_i), s_{i+1}) = identity, and equality of normal forms is
 plain structural equality, which solves the word problem.
 
-Internal Δ's migrate right through the twist Δ·g = g^{φ^{-1}}·Δ; the greedy
-rebalancing sweeps transfer meet(complement(a), b) from b to a until stable.
-Homogeneity bounds the number of transfers, so the sweep terminates.
+A word is normalized by appending one simple at a time and repairing the
+greedy condition leftwards from the right end (the domino rule; Dehornoy et
+al., Foundations of Garside Theory, EMS 2015, ch. III; Epstein et al., Word
+Processing in Groups, ch. 9): (a, b) becomes (a·u, v) with u·v = b and
+u = meet(complement(a), b), until the first u = 1. Each append costs one
+repair pass, at most the canonical length so far. A Δ of the input, or one
+the repair makes at the front, migrates right by Δ·g = g^{φ^{-1}}·Δ.
 """
 
 from __future__ import annotations
@@ -85,53 +89,49 @@ def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> No
         raise BudgetExceeded(
             f"word exceeds the {MAX_WORD_FACTORS}-factor computation limit"
         )
-    changed = True
-    while changed:
-        changed = False
-        # Drop identity factors (case (II) rewriting).
-        kept = [s for s in factors if not germ.is_identity(s)]
-        if len(kept) != len(factors):
-            factors = kept
-            changed = True
-        # Migrate Δ factors to the right end: Δ·g = g^{φ^{-1}}·Δ.
-        i = 0
-        while i < len(factors):
-            if germ.is_delta(factors[i]):
-                for j in range(i + 1, len(factors)):
-                    factors[j] = germ.phi_simple_inv[factors[j]]
-                del factors[i]
-                k += 1
-                changed = True
-            else:
-                i += 1
-        # One left-to-right greedy sweep.
-        for i in range(len(factors) - 1):
-            a, b = factors[i], factors[i + 1]
-            u = germ.meet(germ.complement(a), b)
-            if not germ.is_identity(u):
-                prod = germ.product_of(a, u)
-                if prod is None:
-                    raise InternalError("normal form: a·u is not simple although u ≤ complement(a)")
-                factors[i] = prod
-                factors[i + 1] = germ.quotient(u, b)
-                changed = True
-    return NormalForm(source, tuple(factors), k)
+    simples, delta, complement = germ.simples, germ.delta, germ.complement_
+    meet, product, lquot = germ.meet_table, germ.product, germ.lquot
+    # The word so far is out·Δ^d, with out greedy.
+    out: list[int] = []
+    d = 0
+    for s in factors:
+        s = germ.phi_power(s, -d)
+        if not simples[s].length:
+            continue
+        if delta[simples[s].source] == s:
+            d += 1
+            continue
+        out.append(s)
+        i = len(out) - 1
+        while i:
+            a, b = out[i - 1], out[i]
+            u = meet[(complement[a], b)]
+            if not simples[u].length:
+                break
+            au = product.get((a, u))
+            if au is None:
+                raise InternalError("normal form: a·u is not simple although u ≤ complement(a)")
+            out[i - 1], out[i] = au, lquot[(u, b)]
+            i -= 1
+        if not simples[out[-1]].length:
+            out.pop()
+        if out and delta[simples[out[0]].source] == out[0]:
+            # The repair made a Δ at the front; it moves right by Δ·g = φ^{-1}(g)·Δ.
+            out = [germ.phi_simple_inv[t] for t in out[1:]]
+            d += 1
+    return NormalForm(source, tuple(out), d + k)
 
 
 def normal_form(
     germ: GarsideGerm, word: PositiveWord | list[int] | tuple[int, ...], delta_shift: int = 0
 ) -> NormalForm:
     """Normal form of word·Δ^{delta_shift}; the word may contain identities and Δ's."""
-    if isinstance(word, PositiveWord):
-        word.check(germ)
-        source, factors = word.source, list(word.factors)
-    else:
-        factors = list(word)
-        if not factors:
+    if not isinstance(word, PositiveWord):
+        if not word:
             raise GermError("empty word needs an explicit source; use identity_nf")
-        source = germ.simples[factors[0]].source
-        PositiveWord(source, tuple(factors)).check(germ)
-    return _normalize(germ, source, factors, delta_shift)
+        word = PositiveWord(germ.simples[word[0]].source, tuple(word))
+    word.check(germ)
+    return _normalize(germ, word.source, list(word.factors), delta_shift)
 
 
 def is_greedy(germ: GarsideGerm, f: NormalForm) -> bool:
@@ -212,16 +212,19 @@ def parse_word(germ: GarsideGerm, text: str) -> NormalForm:
                 break
     if source is None:
         raise GermError("ambiguous word: prefix it with @<object>")
-    res = identity_nf(source)
+    # Δ^d·s = φ^{-d}(s)·Δ^d: a D^d token twists the simples after it.
+    at, d, factors = source, 0, []
     for tok in toks:
-        d = _delta_token(tok)
-        if d is not None:
-            res = multiply(germ, res, delta_power_nf(target(germ, res), d))
-        else:
-            sid = germ.simple_named(tok)
-            piece = _normalize(germ, germ.simples[sid].source, [sid], 0)
-            res = multiply(germ, res, piece)
-    return res
+        e = _delta_token(tok)
+        if e is not None:
+            at, d = germ.phi_power_obj(at, e), d + e
+            continue
+        sid = germ.simple_named(tok)
+        if germ.simples[sid].source != at:
+            raise GermError("multiply: endpoint mismatch")
+        at = germ.simples[sid].target
+        factors.append(germ.phi_power(sid, -d))
+    return _normalize(germ, source, factors, d)
 
 
 def _delta_token(tok: str) -> int | None:

@@ -9,11 +9,14 @@ from itertools import product as cartesian
 from garside import NormalForm, invert, multiply
 from garside.germ import (
     Automorphism,
+    BudgetExceeded,
     GarsideGerm,
+    GermError,
     GermValidationError,
+    InternalError,
     check_automorphism,
 )
-from garside.words import delta_power_nf
+from garside.words import MAX_WORD_FACTORS, _delta_token, delta_power_nf, identity_nf, target
 
 
 def divides(germ, a: int, b: int) -> bool:
@@ -290,12 +293,28 @@ def antitone_witness(germ, out: list[int]) -> tuple[int, int] | None:
     return None
 
 
+def missing_complement(germ) -> int | None:
+    """
+    The first simple s with no s̄ such that s·s̄ = Δ_source(s), or None.
+
+    garside.validate does not run this check, because it cannot fail once Δ
+    passes: Δ_x has every simple out of x as a left divisor, and every left
+    divisor of Δ_x has an lquot entry under it. An identity and Δ_x itself
+    get one from the unit products, and every other divisor s from its
+    product s·s̄ = Δ_x.
+    """
+    return next(
+        (s.id for s in germ.simples if (s.id, germ.delta[s.source]) not in germ.lquot), None
+    )
+
+
 def reference_validate(table):
     """
     The set-based validator: Δ by an all-pairs scan, meets and joins as the
     longest common divisor checked against every common divisor, and the
     atom closure over every atom. Same checks, order and messages as
-    garside.validate, plus the complement antitone check that it omits.
+    garside.validate, plus the complement existence and antitone checks
+    that it omits.
     """
     germ = reference_delta(table)
     simples = germ.simples
@@ -309,15 +328,12 @@ def reference_validate(table):
 
     # Complement s̄: s·s̄ = Δ_source(s); a bijection S_{x->} -> S_{->xφ}
     # reversing order (axiom (iii)).
-    germ.complement_ = [-1] * len(simples)
-    for s in simples:
-        dx = germ.delta[s.source]
-        bar = germ.lquot.get((s.id, dx))
-        if bar is None:
-            raise GermValidationError(
-                f"no complement: {s.name!r} does not left-divide its delta"
-            )
-        germ.complement_[s.id] = bar
+    missing = missing_complement(germ)
+    if missing is not None:
+        raise GermValidationError(
+            f"no complement: {simples[missing].name!r} does not left-divide its delta"
+        )
+    germ.complement_ = [germ.lquot[(s.id, germ.delta[s.source])] for s in simples]
     for obj in germ.objects:
         out = germ.by_source[obj.id]
         into = germ.by_target[germ.phi_obj[obj.id]]
@@ -413,3 +429,82 @@ def permutation_order(perm: list[int]) -> int:
             n += 1
         order = order * n // math.gcd(order, n)
     return order
+
+
+def fixpoint_normalize(germ, source: int, factors: list[int], k: int) -> NormalForm:
+    """
+    Normal form of factors·Δ^k by rewriting to a fixpoint: drop identities,
+    migrate every Δ to the right end, and sweep the greedy transfers from
+    left to right, until a pass changes nothing.
+    """
+    if len(factors) > MAX_WORD_FACTORS:
+        raise BudgetExceeded(
+            f"word exceeds the {MAX_WORD_FACTORS}-factor computation limit"
+        )
+    changed = True
+    while changed:
+        changed = False
+        # Drop identity factors (case (II) rewriting).
+        kept = [s for s in factors if not germ.is_identity(s)]
+        if len(kept) != len(factors):
+            factors = kept
+            changed = True
+        # Migrate Δ factors to the right end: Δ·g = g^{φ^{-1}}·Δ.
+        i = 0
+        while i < len(factors):
+            if germ.is_delta(factors[i]):
+                for j in range(i + 1, len(factors)):
+                    factors[j] = germ.phi_simple_inv[factors[j]]
+                del factors[i]
+                k += 1
+                changed = True
+            else:
+                i += 1
+        # One left-to-right greedy sweep.
+        for i in range(len(factors) - 1):
+            a, b = factors[i], factors[i + 1]
+            u = germ.meet(germ.complement(a), b)
+            if not germ.is_identity(u):
+                prod = germ.product_of(a, u)
+                if prod is None:
+                    raise InternalError("normal form: a·u is not simple although u ≤ complement(a)")
+                factors[i] = prod
+                factors[i + 1] = germ.quotient(u, b)
+                changed = True
+    return NormalForm(source, tuple(factors), k)
+
+
+def fixpoint_multiply(germ, f: NormalForm, g: NormalForm) -> NormalForm:
+    """The composite f·g through fixpoint_normalize."""
+    if target(germ, f) != g.source:
+        raise GermError("multiply: endpoint mismatch")
+    twisted = [germ.phi_power(s, -f.delta_exp) for s in g.factors]
+    return fixpoint_normalize(
+        germ, f.source, list(f.factors) + twisted, f.delta_exp + g.delta_exp
+    )
+
+
+def fixpoint_parse_word(germ, text: str) -> NormalForm:
+    """The word syntax of garside.parse_word, read as one fixpoint_multiply per token."""
+    toks = text.split()
+    source = None
+    if toks and toks[0].startswith("@"):
+        source = germ.object_named(toks[0][1:])
+        toks = toks[1:]
+    if source is None:
+        for tok in toks:
+            if not _delta_token(tok):
+                source = germ.simples[germ.simple_named(tok)].source
+                break
+    if source is None:
+        raise GermError("ambiguous word: prefix it with @<object>")
+    res = identity_nf(source)
+    for tok in toks:
+        d = _delta_token(tok)
+        if d is not None:
+            res = fixpoint_multiply(germ, res, delta_power_nf(target(germ, res), d))
+        else:
+            sid = germ.simple_named(tok)
+            piece = fixpoint_normalize(germ, germ.simples[sid].source, [sid], 0)
+            res = fixpoint_multiply(germ, res, piece)
+    return res

@@ -313,3 +313,18 @@ def test_divide_count_needs_a_positive_m(capsys):
 def test_zero_budget_is_usage_error(capsys):
     err = usage_error(capsys, "summit", "--file", A2, "--word", "s", "--budget", "0")
     assert err == "error: --budget must be positive\n"
+
+
+def test_unknown_simple_name_is_printed_without_quotes(capsys):
+    err = usage_error(capsys, "nf", "--file", A2, "--word", "s zz")
+    assert err == "error: no simple named 'zz'\n"
+
+
+def test_unknown_object_name_is_printed_without_quotes(capsys):
+    err = usage_error(capsys, "cover", "--file", A2, "--source", "zz")
+    assert err == "error: no object named 'zz'\n"
+
+
+def test_non_composable_word_is_usage_error(capsys):
+    err = usage_error(capsys, "nf", "--builtin", "rank2_counterexample", "--word", "a_x a_x")
+    assert err == "error: multiply: endpoint mismatch\n"

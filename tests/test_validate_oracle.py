@@ -174,11 +174,13 @@ def antitone_witnesses(table) -> list | None:
     """
     The oracle's antitone check on every object of a table that passes the
     reference's checks through Δ; None if the table fails one of those.
+    The oracle's complement existence check must not fire on such a table.
     """
     try:
         germ = oracles.reference_delta(copy_table(table))
     except GermError:
         return None
+    assert oracles.missing_complement(germ) is None
     germ.complement_ = [germ.lquot[(s.id, germ.delta[s.source])] for s in germ.simples]
     return [oracles.antitone_witness(germ, germ.by_source[obj.id]) for obj in germ.objects]
 
@@ -193,6 +195,7 @@ def test_antitone_check_is_reached_by_tables_that_fail_later(name):
 @settings(max_examples=400, deadline=None)
 @given(mutated_table())
 def test_antitone_check_never_fires_past_delta(table):
-    # Why garside.validate omits the check: see oracles.antitone_witness.
+    # Why garside.validate omits the complement existence and antitone
+    # checks: see oracles.missing_complement and oracles.antitone_witness.
     witnesses = antitone_witnesses(table)
     assert witnesses is None or witnesses == [None] * len(witnesses)

@@ -191,3 +191,20 @@ def test_multiply_matches_concatenation_hypothesis(w1, w2):
     f = normal_form(A2, w1) if w1 else identity_nf(0)
     g = normal_form(A2, w2) if w2 else identity_nf(0)
     assert multiply(A2, f, g) == (normal_form(A2, w1 + w2) if w1 + w2 else identity_nf(0))
+
+
+@pytest.mark.parametrize(
+    "germ_name,text,kind,message",
+    [
+        ("a2", "s zz", KeyError, "no simple named 'zz'"),
+        ("a2", "D^2", GermError, "ambiguous word: prefix it with @<object>"),
+        ("a2", "@zz s", KeyError, "no object named 'zz'"),
+        ("rank2", "a_x a_x", GermError, "multiply: endpoint mismatch"),
+        ("rank2", "@x D^1 a_x", GermError, "multiply: endpoint mismatch"),
+    ],
+)
+def test_parse_word_errors(request, germ_name, text, kind, message):
+    germ = request.getfixturevalue(germ_name)
+    with pytest.raises(kind) as err:
+        parse_word(germ, text)
+    assert type(err.value) is kind and err.value.args == (message,)
