@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .germ import GarsideGerm, GermError, InternalError, assemble_table, validate
-from .words import NormalForm, identity_nf, invert, multiply, normal_form
+from .words import NormalForm, identity_nf, multiply, normal_form
 
 DividedObject = tuple[int, ...]
 
@@ -256,24 +256,14 @@ def theta_simple(dg: DividedGerm, sid: int) -> NormalForm:
 
 
 def theta_morphism(dg: DividedGerm, f: NormalForm) -> NormalForm:
-    """Multiplicative extension of Θ_m over factors and Δ-powers."""
-    base = dg.base
-    res = identity_nf(dg.object_of(theta_object(base, f.source, dg.m)))
+    """
+    Multiplicative extension of Θ_m over factors and Δ-powers. Every step of
+    the slide of Δ_x is the shift ladder, so Θ_m(Δ^k) = Δ_m^{mk}.
+    """
+    res = identity_nf(dg.object_of(theta_object(dg.base, f.source, dg.m)))
     for sid in f.factors:
         res = multiply(dg.germ, res, theta_simple(dg, sid))
-    at = f.source
-    for sid in f.factors:
-        at = base.simples[sid].target
-    k = f.delta_exp
-    if k >= 0:
-        for _ in range(k):
-            res = multiply(dg.germ, res, theta_simple(dg, base.delta[at]))
-            at = base.phi_obj[at]
-    else:
-        for _ in range(-k):
-            at = base.phi_obj_inv[at]
-            res = multiply(dg.germ, res, invert(dg.germ, theta_simple(dg, base.delta[at])))
-    return res
+    return NormalForm(res.source, res.factors, res.delta_exp + dg.m * f.delta_exp)
 
 
 # -- the subdivision isomorphism D_eq(C) ≅ D_e(C_q) ------------------------

@@ -9,7 +9,7 @@ the complement's order reversal follows from these) and derives the data every o
 - ``delta[x]``: the maximal simple at each object,
 - ``complement(s)``: the unique s̄ with s·s̄ = Δ at the source of s,
 - ``phi``: the germ automorphism obtained as the double complement,
-- meet/join tables for every pair of simples sharing a source.
+- meets and joins answered from divisor bitmasks.
 
 Objects and simples are referenced by dense integer ids throughout. The
 checks cost what the product table holds: associativity walks an index of
@@ -295,9 +295,14 @@ class GarsideGerm:
         # Filled in by validate():
         self.delta: list[int] = []
         self.left_divs: list[frozenset[int]] = []   # sid -> its left divisors
-        self.right_divs: list[frozenset[int]] = []  # sid -> its right divisors
         self.lquot: dict[tuple[int, int], int] = {} # (a, b) -> c with a·c = b
-        self.rquot: dict[tuple[int, int], int] = {} # (c, b) -> a with a·c = b
+        # Divisor bitmasks: bit i of lmask[s] (rmask[s]) stands for the i-th
+        # simple out of the source (into the target) of s; lkey[x] (rkey[x])
+        # maps the masks of the simples out of (into) x back to them.
+        self.lmask: list[int] = []
+        self.rmask: list[int] = []
+        self.lkey: list[dict[int, int]] = []
+        self.rkey: list[dict[int, int]] = []
         self.complement_: list[int] = []
         self.phi_obj: list[int] = []
         self.phi_obj_inv: list[int] = []
@@ -305,8 +310,6 @@ class GarsideGerm:
         self.phi_simple_inv: list[int] = []
         self.phi_order: int = 0
         self.atoms: list[int] = []
-        self.meet_table: dict[tuple[int, int], int] = {}
-        self.join_table: dict[tuple[int, int], int] = {}
 
     # -- naming helpers -----------------------------------------------------
 
@@ -359,16 +362,19 @@ class GarsideGerm:
         return self.complement_[sid]
 
     def meet(self, a: int, b: int) -> int:
-        m = self.meet_table.get((a, b))
-        if m is None:
+        x = self.simples[a].source
+        if x != self.simples[b].source:
             raise GermError("meet: source mismatch")
-        return m
+        return self.lkey[x][self.lmask[a] & self.lmask[b]]
 
     def join(self, a: int, b: int) -> int:
-        j = self.join_table.get((a, b))
-        if j is None:
+        """φ^{-1} of the complement of the greatest common right divisor of ā and b̄."""
+        x = self.simples[a].source
+        if x != self.simples[b].source:
             raise GermError("join: source mismatch")
-        return j
+        ca, cb = self.complement_[a], self.complement_[b]
+        g = self.rkey[self.phi_obj[x]][self.rmask[ca] & self.rmask[cb]]
+        return self.phi_simple_inv[self.complement_[g]]
 
     def phi_power_obj(self, oid: int, n: int) -> int:
         n %= self.phi_order
@@ -435,7 +441,7 @@ def _check_table(table: GermTable) -> None:
 
 
 def validate(table: GermTable) -> GarsideGerm:
-    """Check the Garside germ axioms and derive Δ, complements, φ and lattice tables."""
+    """Check the Garside germ axioms and derive Δ, complements, φ and divisor bitmasks."""
     _check_table(table)
     germ = GarsideGerm(table)
     simples = germ.simples
@@ -461,16 +467,23 @@ def validate(table: GermTable) -> GarsideGerm:
             )
         seen[key] = a
 
-    # Divisibility and quotient tables.
-    ldivs: list[set[int]] = [{germ.identity[s.source], s.id} for s in simples]
-    rdivs: list[set[int]] = [{germ.identity[s.target], s.id} for s in simples]
+    # Divisibility: left divisor sets, the quotient table and the divisor
+    # bitmasks. The unit products (checked above) make every simple a left
+    # and a right divisor of itself, with the identities below it.
+    lbit, rbit = [0] * len(simples), [0] * len(simples)
+    for bits, groups in ((lbit, germ.by_source), (rbit, germ.by_target)):
+        for group in groups:
+            for i, s in enumerate(group):
+                bits[s] = 1 << i
+    ldivs: list[set[int]] = [set() for _ in simples]
+    lmask, rmask = [0] * len(simples), [0] * len(simples)
     for (a, b), c in product.items():
         ldivs[c].add(a)
-        rdivs[c].add(b)
+        lmask[c] |= lbit[a]
+        rmask[c] |= rbit[b]
         germ.lquot[(a, c)] = b
-        germ.rquot[(b, c)] = a
     germ.left_divs = [frozenset(d) for d in ldivs]
-    germ.right_divs = [frozenset(d) for d in rdivs]
+    germ.lmask, germ.rmask = lmask, rmask
 
     # Δ_x: the maximum of (S_{x->}, ≤), the simple with all of S_{x->} as left
     # divisors (unique by antisymmetry: homogeneity makes ≤ a partial order).
@@ -518,31 +531,30 @@ def validate(table: GermTable) -> GarsideGerm:
     # Lattice: meets exist for every same-source pair; joins then exist too
     # (finite meet-semilattice with top), computed via the complement duality.
     # Divisibility is transitive (by associativity), so the meet of a and b is
-    # the simple whose left-divisor bitmask is L(a) & L(b), if there is one.
-    lmask = _masks(germ.left_divs, germ.by_source)
-    rmask = _masks(germ.right_divs, germ.by_target)
+    # the simple whose left-divisor bitmask is lmask[a] & lmask[b], if there
+    # is one; GarsideGerm.meet and join answer from the same lookups.
+    germ.lkey = [{lmask[s]: s for s in out} for out in germ.by_source]
+    germ.rkey = [{rmask[s]: s for s in into} for into in germ.by_target]
+    complement, phi_inv = germ.complement_, germ.phi_simple_inv
     for obj in germ.objects:
         out = germ.by_source[obj.id]
-        lkey = {lmask[s]: s for s in out}
-        rkey = {rmask[s]: s for s in germ.by_target[germ.phi_obj[obj.id]]}
+        lkey, rkey = germ.lkey[obj.id], germ.rkey[germ.phi_obj[obj.id]]
         for a in out:
-            la, ra = lmask[a], rmask[germ.complement_[a]]
+            la, ra = lmask[a], rmask[complement[a]]
             for b in out:
-                m = lkey.get(la & lmask[b])
-                if m is None:
+                if la & lmask[b] not in lkey:
                     raise GermValidationError(
                         f"pair ({simples[a].name}, {simples[b].name}) lacks a meet"
                     )
-                germ.meet_table[(a, b)] = m
                 # join(a, b) = complement^{-1} of the greatest common
-                # right-divisor of the complements.
-                g = rkey.get(ra & rmask[germ.complement_[b]])
-                j = None if g is None else germ.rquot.get((g, germ.delta[obj.id]))
+                # right-divisor g of the complements: j·g = Δ_x means g = j̄,
+                # so j = φ^{-1}(ḡ).
+                g = rkey.get(ra & rmask[complement[b]])
+                j = None if g is None else phi_inv[complement[g]]
                 if j is None or a not in germ.left_divs[j] or b not in germ.left_divs[j]:
                     raise GermValidationError(
                         f"pair ({simples[a].name}, {simples[b].name}) lacks a join"
                     )
-                germ.join_table[(a, b)] = j
 
     # Atoms generate: every simple is a product of atoms.
     length = [s.length for s in simples]
@@ -572,12 +584,6 @@ def validate(table: GermTable) -> GarsideGerm:
         raise GermValidationError(f"simple {missing.name!r} is not a product of atoms")
 
     return germ
-
-
-def _masks(divs: list[frozenset[int]], groups: list[list[int]]) -> list[int]:
-    """Each divisor set as an int bitmask, bit i standing for the i-th simple of its group."""
-    bit = {s: 1 << i for group in groups for i, s in enumerate(group)}
-    return [sum(bit[d] for d in ds) for ds in divs]
 
 
 def _permutation_order(perm: list[int]) -> int:
@@ -666,7 +672,7 @@ def germ_isomorphism(g1: GarsideGerm, g2: GarsideGerm) -> dict[int, int] | None:
 
     def profile(g: GarsideGerm, sid: int) -> tuple:
         s = g.simples[sid]
-        return (s.length, len(g.left_divs[sid]), len(g.right_divs[sid]),
+        return (s.length, len(g.left_divs[sid]), g.rmask[sid].bit_count(),
                 g.is_delta(sid), g.simples[g.phi_simple[sid]].length)
 
     p1 = {s.id: profile(g1, s.id) for s in g1.simples}

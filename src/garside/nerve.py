@@ -20,7 +20,7 @@ from math import comb
 
 from .divided import count_subdivisions
 from .germ import GarsideGerm, GermError
-from .words import NormalForm, identity_nf, invert, multiply, target
+from .words import NormalForm, identity_nf, multiply, target
 
 
 @dataclass(frozen=True)
@@ -201,20 +201,18 @@ class CoverBall:
     edges: list[tuple[int, int]]    # indices into vertices, i < j
 
 
-def _is_positive_simple(germ: GarsideGerm, f: NormalForm) -> bool:
-    # a simple morphism of the groupoid: a non-identity factor, or Δ itself
-    return f.inf >= 0 and f.sup <= 1 and f != identity_nf(f.source)
-
-
 def cover_ball(germ: GarsideGerm, basepoint: int, radius: int) -> CoverBall:
     """
     Positive morphisms from the basepoint with sup ≤ radius; edges join f, g
-    when f^{-1}g or g^{-1}f is simple.
+    when f^{-1}g or g^{-1}f is simple, that is when g = f·s or f = g·s for a
+    non-identity simple s (Δ included). The breadth-first search computes
+    every such f·s inside the ball, so it records the edges as it goes.
     """
     if radius < 0:
         raise GermError("radius must be non-negative")
     seen = {identity_nf(basepoint)}
     frontier = list(seen)
+    steps = set()
     while frontier:
         new = []
         for f in frontier:
@@ -223,19 +221,15 @@ def cover_ball(germ: GarsideGerm, basepoint: int, radius: int) -> CoverBall:
                 if germ.is_identity(sid):
                     continue
                 g = multiply(germ, f, NormalForm(at, (sid,), 0))
-                if g.sup <= radius and g not in seen:
-                    seen.add(g)
-                    new.append(g)
+                if g.sup <= radius:
+                    steps.add((f, g))
+                    if g not in seen:
+                        seen.add(g)
+                        new.append(g)
         frontier = new
     vertices = sorted(seen, key=lambda f: (f.sup, f.delta_exp, f.factors))
-    edges = []
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            d = multiply(germ, invert(germ, vertices[i]), vertices[j])
-            if _is_positive_simple(germ, d) or _is_positive_simple(
-                germ, invert(germ, d)
-            ):
-                edges.append((i, j))
+    index = {f: i for i, f in enumerate(vertices)}
+    edges = sorted({tuple(sorted((index[f], index[g]))) for f, g in steps})
     return CoverBall(basepoint, radius, vertices, edges)
 
 

@@ -90,7 +90,7 @@ def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> No
             f"word exceeds the {MAX_WORD_FACTORS}-factor computation limit"
         )
     simples, delta, complement = germ.simples, germ.delta, germ.complement_
-    meet, product, lquot = germ.meet_table, germ.product, germ.lquot
+    lkey, lmask, product, lquot = germ.lkey, germ.lmask, germ.product, germ.lquot
     # The word so far is out·Δ^d, with out greedy.
     out: list[int] = []
     d = 0
@@ -105,7 +105,7 @@ def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> No
         i = len(out) - 1
         while i:
             a, b = out[i - 1], out[i]
-            u = meet[(complement[a], b)]
+            u = lkey[simples[b].source][lmask[complement[a]] & lmask[b]]
             if not simples[u].length:
                 break
             au = product.get((a, u))
@@ -207,7 +207,7 @@ def parse_word(germ: GarsideGerm, text: str) -> NormalForm:
         toks = toks[1:]
     if source is None:
         for tok in toks:
-            if not _delta_token(tok):
+            if _delta_token(tok) is None:
                 source = germ.simples[germ.simple_named(tok)].source
                 break
     if source is None:

@@ -133,6 +133,24 @@ def brute_summit_set(germ, g: NormalForm, conj_len: int = 6) -> set[NormalForm]:
     return {h for h in conjugates if h.inf == best_inf and h.sup == best_sup}
 
 
+def pairwise_cover_edges(germ, vertices: list[NormalForm]) -> list[tuple[int, int]]:
+    """
+    The edges of a cover ball by their definition: every pair i < j of
+    vertices with f^{-1}g or g^{-1}f a simple morphism (a non-identity
+    simple, Δ included), tried with an invert and a multiply per pair.
+    """
+    def is_positive_simple(f: NormalForm) -> bool:
+        return f.inf >= 0 and f.sup <= 1 and f != identity_nf(f.source)
+
+    edges = []
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            d = multiply(germ, invert(germ, vertices[i]), vertices[j])
+            if is_positive_simple(d) or is_positive_simple(invert(germ, d)):
+                edges.append((i, j))
+    return edges
+
+
 def recursive_garside_dimension(germ) -> int:
     """
     Longest strict divisibility chain at each object, by memoised recursion
@@ -221,6 +239,7 @@ def reference_delta(table):
     """
     reference_check_table(table)
     germ = GarsideGerm(table)
+    germ.right_divs, germ.rquot = [], {}
     simples = germ.simples
     product = germ.product
 
@@ -317,6 +336,7 @@ def reference_validate(table):
     that it omits.
     """
     germ = reference_delta(table)
+    germ.meet_table, germ.join_table = {}, {}
     simples = germ.simples
     product = germ.product
     germ.phi_obj = [simples[germ.delta[oid]].target for oid in range(len(germ.objects))]

@@ -315,6 +315,12 @@ def test_zero_budget_is_usage_error(capsys):
     assert err == "error: --budget must be positive\n"
 
 
+def test_delta_zero_before_the_first_simple(capsys):
+    code, out = run(capsys, "nf", "--file", A2, "--word", "D^0 s")
+    assert (code, out) == run(capsys, "nf", "--file", A2, "--word", "s")
+    assert code == 0 and "nf: s" in out
+
+
 def test_unknown_simple_name_is_printed_without_quotes(capsys):
     err = usage_error(capsys, "nf", "--file", A2, "--word", "s zz")
     assert err == "error: no simple named 'zz'\n"

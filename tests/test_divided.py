@@ -28,7 +28,7 @@ from garside.divided import (
     theta_simple,
     tuple_name,
 )
-from garside.words import identity_nf, is_greedy
+from garside.words import NormalForm, delta_power_nf, identity_nf, invert, is_greedy
 
 import oracles
 
@@ -174,11 +174,20 @@ def test_theta_m1_is_identity_functor(a2):
     assert lad.columns == (s,)
 
 
-def test_theta2_of_delta_is_squared_garside(a2, a2_div2):
-    D = a2.simple_named("D")
-    img = theta_simple(a2_div2, D)
-    assert img.factors == () and img.delta_exp == 2
-    assert a2_div2.objects[img.source] == theta_object(a2, 0, 2)
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", ["a2", "rank2", "chamber3", "dual3"])
+def test_theta_of_delta_is_garside_power(name, m, request):
+    # Θ_m(Δ_x) = Δ_m^m at every object; theta_morphism relies on it for Δ-powers.
+    germ = request.getfixturevalue(name)
+    dg = build_divided_germ(germ, m)
+    for x in range(len(germ.objects)):
+        src = dg.object_of(theta_object(germ, x, m))
+        img = theta_simple(dg, germ.delta[x])
+        assert img == NormalForm(src, (), m)
+        assert theta_morphism(dg, delta_power_nf(x, 1)) == img
+        before = germ.delta[germ.phi_obj_inv[x]]
+        assert theta_morphism(dg, delta_power_nf(x, -1)) == invert(dg.germ, theta_simple(dg, before))
+        assert theta_morphism(dg, delta_power_nf(x, 3)) == NormalForm(src, (), 3 * m)
 
 
 def test_theta_morphism_identity_and_greedy(a2, a2_div3):

@@ -1,6 +1,7 @@
 import pytest
 
 from garside import (
+    GermError,
     GermSyntaxError,
     GermValidationError,
     germ_isomorphism,
@@ -8,6 +9,7 @@ from garside import (
     table_to_text,
     validate,
 )
+from garside import builtins as germ_builtins
 
 import oracles
 
@@ -171,6 +173,24 @@ def test_meet_join_examples(a2):
     assert a2.meet(s, t) == a2.identity[0]
     assert a2.simple_name(a2.join(s, t)) == "D"
     assert a2.join(s, st) == st
+
+
+def test_meet_and_join_need_a_common_source(rank2):
+    ax, ay = rank2.simple_named("a_x"), rank2.simple_named("a_y")
+    with pytest.raises(GermError, match="^meet: source mismatch$"):
+        rank2.meet(ax, ay)
+    with pytest.raises(GermError, match="^join: source mismatch$"):
+        rank2.join(ax, ay)
+
+
+@pytest.mark.parametrize("family,param", [("artin_symmetric", 5), ("dihedral_chamber", 6)])
+def test_validated_germ_holds_no_table_larger_than_its_products(family, param):
+    # Meets and joins are bitmask lookups; a table over pairs of simples
+    # (artin5 has 14,400 same-source pairs) must not come back.
+    germ = validate(germ_builtins.build(family, param))
+    bound = len(germ.product) + len(germ.simples)
+    sizes = {k: len(v) for k, v in vars(germ).items() if isinstance(v, (list, dict))}
+    assert sizes and all(n <= bound for n in sizes.values()), (bound, sizes)
 
 
 def test_complement_examples(a2):

@@ -236,6 +236,19 @@ def test_cover_ball_radius_zero(a2):
     assert len(ball.vertices) == 1 and ball.edges == []
 
 
+COVER_CASES = [("a2", r) for r in range(4)] + [
+    ("artin3", 3), ("dual3", 3), ("chamber3", 2), ("rank2", 3)
+]
+
+
+@pytest.mark.parametrize("name,radius", COVER_CASES)
+def test_cover_ball_edges_match_pairwise_oracle(name, radius, request):
+    germ = request.getfixturevalue(name)
+    for x in range(len(germ.objects)):
+        ball = cover_ball(germ, x, radius)
+        assert ball.edges == oracles.pairwise_cover_edges(germ, ball.vertices)
+
+
 def test_cover_ball_vertices_positive(a2):
     ball = cover_ball(a2, 0, 2)
     for v in ball.vertices:

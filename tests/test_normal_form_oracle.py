@@ -139,14 +139,14 @@ class CountingDict(dict):
 
 
 def meet_lookups(germ, kernel, *args):
-    """Run kernel(germ, *args) with germ.meet_table counting; return (lookups, result)."""
-    saved = germ.meet_table
-    germ.meet_table = counting = CountingDict(saved)
+    """Run kernel(germ, *args) with the dicts of germ.lkey counting; return (lookups, result)."""
+    saved = germ.lkey
+    germ.lkey = counting = [CountingDict(keys) for keys in saved]
     try:
         result = kernel(germ, *args)
     finally:
-        germ.meet_table = saved
-    return counting.lookups, result
+        germ.lkey = saved
+    return sum(keys.lookups for keys in counting), result
 
 
 # Meet lookups of the append-and-repair kernel on the word below; the

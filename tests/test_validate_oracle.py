@@ -1,7 +1,8 @@
 """
 validate against the set-based reference validator in oracles.py: the same
-derived tables on every builtin, divided and fixed germ, and the same verdict
-and message on mutated product tables.
+derived tables, and the same meet and join of every same-source pair, on
+every builtin, divided and fixed germ, and the same verdict and message on
+mutated product tables.
 """
 
 from functools import cache
@@ -17,7 +18,7 @@ from garside.conjugacy import fixed_subgerm
 import oracles
 from test_germ import NON_LATTICE, UNEVEN_DELTAS
 
-DERIVED = ("delta", "complement_", "phi_simple", "phi_order", "meet_table", "join_table", "atoms")
+DERIVED = ("delta", "complement_", "phi_simple", "phi_order", "atoms")
 
 BUILTINS = (
     [("artin_symmetric", n) for n in range(2, 6)]
@@ -32,12 +33,22 @@ def copy_table(t) -> GermTable:
     return GermTable(t.objects, t.simples, dict(t.product), list(t.identity), dict(t.declared_delta))
 
 
+def lattice(germ) -> tuple[dict, dict]:
+    """germ.meet and germ.join of every same-source pair, keyed by the pair."""
+    pairs = [(a, b) for out in germ.by_source for a in out for b in out]
+    return {p: germ.meet(*p) for p in pairs}, {p: germ.join(*p) for p in pairs}
+
+
 def outcome(check, table):
     try:
         germ = check(copy_table(table))
     except GermError as exc:
         return type(exc).__name__, str(exc)
-    return "ok", tuple(getattr(germ, attr) for attr in DERIVED)
+    if check is oracles.reference_validate:
+        tables = (germ.meet_table, germ.join_table)
+    else:
+        tables = lattice(germ)
+    return "ok", tuple(getattr(germ, attr) for attr in DERIVED) + tables
 
 
 def assert_agrees(table) -> None:

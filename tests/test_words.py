@@ -120,6 +120,10 @@ def test_word_syntax(a2):
         parse_word(a2, "nosuch")
 
 
+def test_delta_zero_before_the_first_simple(a2):
+    assert parse_word(a2, "D^0 s") == parse_word(a2, "s")
+
+
 def test_format_word_roundtrip(a2):
     for text in ("@x", "@x D^-2", "s", "t t", "s t D^1"):
         f = parse_word(a2, text)
