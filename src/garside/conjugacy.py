@@ -220,11 +220,7 @@ def fixed_subgerm(germ: GarsideGerm, psi: Automorphism) -> FixedGermReport:
     atoms_realized = {}
     for b in sub.atoms:
         amb = simple_inclusion[b]
-        amb_atom = next(
-            a for a in germ.atoms
-            if germ.simples[a].source == germ.simples[amb].source
-            and a in germ.left_divs[amb]
-        )
+        amb_atom = next(a for a in germ.atoms if a in germ.divisors[amb])
         if psi_star(germ, psi, amb_atom) != amb:
             raise GermValidationError(
                 f"subgerm atom {sub.simple_name(b)!r} is not a psi_* closure"

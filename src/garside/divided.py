@@ -19,7 +19,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .germ import GarsideGerm, GermError, InternalError, assemble_table, validate
+from .conjugacy import fixed_subgerm
+from .germ import (
+    GarsideGerm,
+    GermError,
+    InternalError,
+    assemble_table,
+    germ_isomorphism,
+    phi_automorphism,
+    validate,
+)
 from .words import NormalForm, identity_nf, multiply, normal_form
 
 DividedObject = tuple[int, ...]
@@ -28,14 +37,15 @@ DividedObject = tuple[int, ...]
 def subdivisions_of(germ: GarsideGerm, oid: int, m: int) -> list[DividedObject]:
     """All m-subdivisions of Δ at one object, in id-lexicographic order."""
     out: list[DividedObject] = []
-    dx = germ.delta[oid]
+    below_delta = germ.divisors[germ.delta[oid]]
 
     def extend(prefix: list[int], done: int, rest: int) -> None:
         # `done` is the product of the prefix; rest factors still to choose.
+        remainder = below_delta[done]
         if rest == 1:
-            out.append(tuple(prefix + [germ.quotient(done, dx)]))
+            out.append(tuple(prefix + [remainder]))
             return
-        for u in germ.divisor_list(germ.quotient(done, dx)):
+        for u in germ.divisors[remainder]:
             step = germ.product_of(done, u)
             if step is None:
                 raise InternalError("a divisor of the rest of delta does not extend the prefix")
@@ -63,11 +73,11 @@ def count_subdivisions(germ: GarsideGerm, m: int) -> dict[int, int]:
     for obj in germ.objects:
         # chains[u] = number of multichains of the current depth ending at u
         chains = {germ.identity[obj.id]: 1}
+        below_delta = germ.divisors[germ.delta[obj.id]]
         for _ in range(m - 1):
             nxt: dict[int, int] = {}
             for u, n in chains.items():
-                dx = germ.delta[obj.id]
-                for q in germ.divisor_list(germ.quotient(u, dx)):
+                for q in germ.divisors[below_delta[u]]:
                     v = germ.product_of(u, q)
                     nxt[v] = nxt.get(v, 0) + n
             chains = nxt
@@ -80,11 +90,10 @@ def ladder_target(
 ) -> DividedObject | None:
     """Target of the would-be ladder, or None if a diagonal product is undefined."""
     m = len(src)
-    diag = []
-    for i in range(m):
-        if cols[i] not in germ.left_divs[src[i]]:
-            return None
-        diag.append(germ.quotient(cols[i], src[i]))
+    # The diagonal quotient(s_i, f_i) is None exactly when s_i ≼ f_i fails.
+    diag = [germ.divisors[f].get(s) for s, f in zip(cols, src)]
+    if None in diag:
+        return None
     tgt = []
     for i in range(m):
         nxt = cols[i + 1] if i + 1 < m else germ.phi_simple[cols[0]]
@@ -355,9 +364,6 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
 
     # Opportunistic p=1 check of the fixed-subgerm refinement:
     # C_{eq}^{φ_{eq}^e} ≅ (C_q^{φ_q})_e, when both sides are non-empty.
-    from .conjugacy import fixed_subgerm
-    from .germ import germ_isomorphism, phi_automorphism
-
     left = fixed_subgerm(g1, phi_automorphism(g1, e))
     right_base = fixed_subgerm(dg_q.germ, phi_automorphism(dg_q.germ, 1))
     if left.is_empty or right_base.is_empty:

@@ -9,6 +9,8 @@ the complement's order reversal follows from these) and derives the data every o
 - ``delta[x]``: the maximal simple at each object,
 - ``complement(s)``: the unique s̄ with s·s̄ = Δ at the source of s,
 - ``phi``: the germ automorphism obtained as the double complement,
+- ``divisors[c]``: the left-divisor index, every a ≼ c mapped to the
+  quotient b with a·b = c,
 - meets and joins answered from divisor bitmasks.
 
 Objects and simples are referenced by dense integer ids throughout. The
@@ -294,8 +296,7 @@ class GarsideGerm:
         self._simple_ix = {s.name: s.id for s in self.simples}
         # Filled in by validate():
         self.delta: list[int] = []
-        self.left_divs: list[frozenset[int]] = []   # sid -> its left divisors
-        self.lquot: dict[tuple[int, int], int] = {} # (a, b) -> c with a·c = b
+        self.divisors: list[dict[int, int]] = []    # c -> {a: b with a·b = c}
         # Divisor bitmasks: bit i of lmask[s] (rmask[s]) stands for the i-th
         # simple out of the source (into the target) of s; lkey[x] (rkey[x])
         # maps the masks of the simples out of (into) x back to them.
@@ -347,11 +348,11 @@ class GarsideGerm:
             raise GermError(
                 f"left_divides: source mismatch between {self.simple_name(a)} and {self.simple_name(b)}"
             )
-        return a in self.left_divs[b]
+        return a in self.divisors[b]
 
     def quotient(self, a: int, b: int) -> int:
         """The unique c with a·c = b; error if a does not left-divide b."""
-        c = self.lquot.get((a, b))
+        c = self.divisors[b].get(a)
         if c is None:
             raise GermError(
                 f"{self.simple_name(a)} does not left-divide {self.simple_name(b)}"
@@ -389,7 +390,7 @@ class GarsideGerm:
         return sid
 
     def divisor_list(self, sid: int) -> list[int]:
-        return sorted(self.left_divs[sid])
+        return sorted(self.divisors[sid])
 
 
 def _check_table(table: GermTable) -> None:
@@ -441,56 +442,51 @@ def _check_table(table: GermTable) -> None:
 
 
 def validate(table: GermTable) -> GarsideGerm:
-    """Check the Garside germ axioms and derive Δ, complements, φ and divisor bitmasks."""
+    """Check the Garside germ axioms and derive Δ, complements, φ and the divisor index."""
     _check_table(table)
     germ = GarsideGerm(table)
     simples = germ.simples
     product = germ.product
 
-    # Cancellativity, with witness triples.
-    seen: dict[tuple[int, int], int] = {}
-    for (a, b), c in product.items():
-        key = (a, c)
-        if key in seen and seen[key] != b:
-            raise GermValidationError(
-                f"left cancellativity fails: {simples[a].name}·{simples[seen[key]].name} "
-                f"= {simples[a].name}·{simples[b].name} = {simples[c].name}"
-            )
-        seen[key] = b
-    seen.clear()
-    for (a, b), c in product.items():
-        key = (b, c)
-        if key in seen and seen[key] != a:
-            raise GermValidationError(
-                f"right cancellativity fails: {simples[seen[key]].name}·{simples[b].name} "
-                f"= {simples[a].name}·{simples[b].name} = {simples[c].name}"
-            )
-        seen[key] = a
-
-    # Divisibility: left divisor sets, the quotient table and the divisor
-    # bitmasks. The unit products (checked above) make every simple a left
-    # and a right divisor of itself, with the identities below it.
+    # Cancellativity, with witness triples, filling the divisor index and
+    # bitmasks on the way: left cancellativity says that each (a, c) has one
+    # b with a·b = c, which is what divisors[c][a] holds. The unit products
+    # (checked above) make every simple a left and a right divisor of itself,
+    # with the identities below it.
     lbit, rbit = [0] * len(simples), [0] * len(simples)
     for bits, groups in ((lbit, germ.by_source), (rbit, germ.by_target)):
         for group in groups:
             for i, s in enumerate(group):
                 bits[s] = 1 << i
-    ldivs: list[set[int]] = [set() for _ in simples]
+    divisors: list[dict[int, int]] = [{} for _ in simples]
     lmask, rmask = [0] * len(simples), [0] * len(simples)
     for (a, b), c in product.items():
-        ldivs[c].add(a)
+        row = divisors[c]
+        if a in row:
+            raise GermValidationError(
+                f"left cancellativity fails: {simples[a].name}·{simples[row[a]].name} "
+                f"= {simples[a].name}·{simples[b].name} = {simples[c].name}"
+            )
+        row[a] = b
         lmask[c] |= lbit[a]
+    seen: dict[tuple[int, int], int] = {}
+    for (a, b), c in product.items():
+        key = (b, c)
+        if key in seen:
+            raise GermValidationError(
+                f"right cancellativity fails: {simples[seen[key]].name}·{simples[b].name} "
+                f"= {simples[a].name}·{simples[b].name} = {simples[c].name}"
+            )
+        seen[key] = a
         rmask[c] |= rbit[b]
-        germ.lquot[(a, c)] = b
-    germ.left_divs = [frozenset(d) for d in ldivs]
-    germ.lmask, germ.rmask = lmask, rmask
+    germ.divisors, germ.lmask, germ.rmask = divisors, lmask, rmask
 
     # Δ_x: the maximum of (S_{x->}, ≤), the simple with all of S_{x->} as left
     # divisors (unique by antisymmetry: homogeneity makes ≤ a partial order).
     germ.delta = [-1] * len(germ.objects)
     for obj in germ.objects:
         out = germ.by_source[obj.id]
-        top = [s for s in out if len(germ.left_divs[s]) == len(out)]
+        top = [s for s in out if len(divisors[s]) == len(out)]
         if len(top) != 1:
             raise GermValidationError(f"no maximum in simples out of object {obj.name!r}")
         germ.delta[obj.id] = top[0]
@@ -510,8 +506,8 @@ def validate(table: GermTable) -> GarsideGerm:
     # (axiom (iii)). Its order reversal needs no check: b = a·c gives ā = c·b̄
     # by associativity and left cancellation, and ā = c·b̄ gives b = a·c by
     # associativity and right cancellation. Nor does its existence: each s ≤ Δ_x
-    # has lquot[(s, Δ_x)], from a unit product (s = 1_x, Δ_x) or from s·s̄ = Δ_x.
-    germ.complement_ = [germ.lquot[(s.id, germ.delta[s.source])] for s in simples]
+    # is in divisors[Δ_x], from a unit product (s = 1_x, Δ_x) or from s·s̄ = Δ_x.
+    germ.complement_ = [divisors[germ.delta[s.source]][s.id] for s in simples]
     for obj in germ.objects:
         out = germ.by_source[obj.id]
         into = germ.by_target[germ.phi_obj[obj.id]]
@@ -551,7 +547,7 @@ def validate(table: GermTable) -> GarsideGerm:
                 # so j = φ^{-1}(ḡ).
                 g = rkey.get(ra & rmask[complement[b]])
                 j = None if g is None else phi_inv[complement[g]]
-                if j is None or a not in germ.left_divs[j] or b not in germ.left_divs[j]:
+                if j is None or a not in divisors[j] or b not in divisors[j]:
                     raise GermValidationError(
                         f"pair ({simples[a].name}, {simples[b].name}) lacks a join"
                     )
@@ -672,7 +668,7 @@ def germ_isomorphism(g1: GarsideGerm, g2: GarsideGerm) -> dict[int, int] | None:
 
     def profile(g: GarsideGerm, sid: int) -> tuple:
         s = g.simples[sid]
-        return (s.length, len(g.left_divs[sid]), g.rmask[sid].bit_count(),
+        return (s.length, len(g.divisors[sid]), g.rmask[sid].bit_count(),
                 g.is_delta(sid), g.simples[g.phi_simple[sid]].length)
 
     p1 = {s.id: profile(g1, s.id) for s in g1.simples}

@@ -20,7 +20,7 @@ from math import comb
 
 from .divided import count_subdivisions
 from .germ import GarsideGerm, GermError
-from .words import NormalForm, identity_nf, multiply, target
+from .words import NormalForm, format_word, identity_nf, multiply, target
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def garside_dimension(germ: GarsideGerm) -> int:
     """
     depth = [0] * len(germ.simples)
     for sid in sorted(range(len(germ.simples)), key=lambda s: germ.simples[s].length):
-        depth[sid] = max((depth[d] + 1 for d in germ.left_divs[sid] if d != sid), default=0)
+        depth[sid] = max((depth[d] + 1 for d in germ.divisors[sid] if d != sid), default=0)
     return max(depth, default=0)
 
 
@@ -247,8 +247,6 @@ def nerve_export_lines(germ: GarsideGerm, up_to_dim: int) -> list[str]:
 
 
 def cover_ball_dot(germ: GarsideGerm, ball: CoverBall) -> str:
-    from .words import format_word
-
     lines = [
         "graph cover_ball {",
         f'  // ball of radius {ball.radius} at {germ.object_name(ball.basepoint)}'

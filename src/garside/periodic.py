@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conjugacy import as_loop, summit_set
+from .conjugacy import FixedGermReport, as_loop, fixed_subgerm, summit_set
 from .divided import (
     DividedGerm,
     DividedObject,
@@ -38,8 +38,6 @@ from .words import (
     power,
     target,
 )
-
-from .conjugacy import FixedGermReport, fixed_subgerm
 
 
 @dataclass(frozen=True)
@@ -300,8 +298,6 @@ def classify_periodic(germ: GarsideGerm, p: int, q: int) -> PeriodicClassificati
     """
     if q < 1:
         raise GermError("q must be positive")
-    if germ.phi_order < 1:
-        raise GermError("germ must be cyclic")
     if (p - 1) % q != 0:
         raise GermError(f"p = {p} is not congruent to 1 mod q = {q}")
     k = (p - 1) // q

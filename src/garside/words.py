@@ -90,7 +90,7 @@ def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> No
             f"word exceeds the {MAX_WORD_FACTORS}-factor computation limit"
         )
     simples, delta, complement = germ.simples, germ.delta, germ.complement_
-    lkey, lmask, product, lquot = germ.lkey, germ.lmask, germ.product, germ.lquot
+    lkey, lmask, product, divisors = germ.lkey, germ.lmask, germ.product, germ.divisors
     # The word so far is out·Δ^d, with out greedy.
     out: list[int] = []
     d = 0
@@ -111,7 +111,7 @@ def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> No
             au = product.get((a, u))
             if au is None:
                 raise InternalError("normal form: a·u is not simple although u ≤ complement(a)")
-            out[i - 1], out[i] = au, lquot[(u, b)]
+            out[i - 1], out[i] = au, divisors[b][u]
             i -= 1
         if not simples[out[-1]].length:
             out.pop()

@@ -165,7 +165,7 @@ def recursive_garside_dimension(germ) -> int:
                 return depth[sid]
             d = 0
             for c in germ.by_source[obj.id]:
-                if c != sid and sid in germ.left_divs[c]:
+                if c != sid and germ.left_divides(sid, c):
                     d = max(d, 1 + longest(c))
             depth[sid] = d
             return d
@@ -239,7 +239,7 @@ def reference_delta(table):
     """
     reference_check_table(table)
     germ = GarsideGerm(table)
-    germ.right_divs, germ.rquot = [], {}
+    germ.right_divs, germ.lquot, germ.rquot = [], {}, {}
     simples = germ.simples
     product = germ.product
 

@@ -1,8 +1,14 @@
+from functools import cache
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from garside import (
     GermError,
     GermSyntaxError,
+    GermTable,
     GermValidationError,
     germ_isomorphism,
     parse_germ,
@@ -10,6 +16,7 @@ from garside import (
     validate,
 )
 from garside import builtins as germ_builtins
+from garside import divided
 
 import oracles
 
@@ -185,12 +192,53 @@ def test_meet_and_join_need_a_common_source(rank2):
 
 @pytest.mark.parametrize("family,param", [("artin_symmetric", 5), ("dihedral_chamber", 6)])
 def test_validated_germ_holds_no_table_larger_than_its_products(family, param):
-    # Meets and joins are bitmask lookups; a table over pairs of simples
-    # (artin5 has 14,400 same-source pairs) must not come back.
+    # Meets and joins are bitmask lookups and quotients sit in one row per
+    # simple; apart from the product itself, no table over pairs of simples
+    # (artin5 has 14,400 same-source pairs, 1,899 divisor pairs) may come back.
     germ = validate(germ_builtins.build(family, param))
-    bound = len(germ.product) + len(germ.simples)
-    sizes = {k: len(v) for k, v in vars(germ).items() if isinstance(v, (list, dict))}
+    bound = len(germ.simples) + len(germ.objects)
+    sizes = {
+        k: len(v) for k, v in vars(germ).items()
+        if isinstance(v, (list, dict)) and k != "product"
+    }
     assert sizes and all(n <= bound for n in sizes.values()), (bound, sizes)
+
+
+@cache
+def order_base(name: str) -> GermTable:
+    if name == "a2":
+        return parse_germ((Path(__file__).parent / "data" / "a2.germ").read_text(encoding="utf-8"))
+    if name == "a2/2":
+        return divided.build_divided_germ(validate(order_base("a2")), 2).germ
+    family, _, param = name.partition(":")
+    return germ_builtins.build(family, int(param) if param else None)
+
+
+ORDER_BASES = [
+    "a2", "a2/2", "artin_symmetric:4", "dual_braid:3", "dihedral_chamber:3", "rank2_counterexample"
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORDER_BASES), st.randoms(use_true_random=False))
+def test_validation_does_not_depend_on_product_order(name, rnd):
+    # The divisor index fills its rows in product order; everything derived
+    # from it, and the divided germ built on it, must not.
+    table = order_base(name)
+    items = list(table.product.items())
+    rnd.shuffle(items)
+    shuffled = GermTable(
+        table.objects, table.simples, dict(items), list(table.identity), dict(table.declared_delta)
+    )
+    want, got = validate(table), validate(shuffled)
+    for attr in ("delta", "complement_", "phi_simple", "atoms"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    assert [got.divisor_list(s.id) for s in got.simples] == [
+        want.divisor_list(s.id) for s in want.simples
+    ]
+    if name == "a2":
+        texts = [table_to_text(divided.build_divided_germ(g, 3).germ) for g in (got, want)]
+        assert texts[0] == texts[1]
 
 
 def test_complement_examples(a2):

@@ -1,8 +1,8 @@
 """
 validate against the set-based reference validator in oracles.py: the same
-derived tables, and the same meet and join of every same-source pair, on
-every builtin, divided and fixed germ, and the same verdict and message on
-mutated product tables.
+derived tables, the same quotient of every divisor pair, and the same meet
+and join of every same-source pair, on every builtin, divided and fixed germ,
+and the same verdict and message on mutated product tables.
 """
 
 from functools import cache
@@ -45,9 +45,10 @@ def outcome(check, table):
     except GermError as exc:
         return type(exc).__name__, str(exc)
     if check is oracles.reference_validate:
-        tables = (germ.meet_table, germ.join_table)
+        tables = (germ.lquot, germ.meet_table, germ.join_table)
     else:
-        tables = lattice(germ)
+        quotients = {(a, c): b for c, row in enumerate(germ.divisors) for a, b in row.items()}
+        tables = (quotients, *lattice(germ))
     return "ok", tuple(getattr(germ, attr) for attr in DERIVED) + tables
 
 
