@@ -13,6 +13,9 @@ periodic, no length-one representative, no fixed objects); 5 internal error
 Output is byte-stable for fixed inputs: enumerations are sorted and
 formatting is fixed. `--json-like` switches to one `key: value` line per
 reported fact.
+
+A subcommand loads only the modules it runs: this module imports the germ,
+word and builtin modules, and each handler imports the library module it calls.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import builtins as germ_builtins
-from . import conjugacy, divided, nerve, periodic, words
+from . import words
 from .germ import (
     Budget,
     BudgetExceeded,
@@ -88,6 +91,7 @@ def _nf_report(rep: Reporter, germ: GarsideGerm, f: words.NormalForm, prefix: st
 
 
 def cmd_validate(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import nerve
     rep.add("objects", len(germ.objects))
     rep.add("simples", len(germ.simples))
     rep.add("atoms", len(germ.atoms))
@@ -116,11 +120,13 @@ def cmd_inv(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_conj(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import conjugacy
     _nf_report(rep, germ, conjugacy.conjugate(germ, *forms), "conjugate")
     return EXIT_OK
 
 
 def cmd_summit(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import conjugacy
     sset = conjugacy.summit_set(germ, *forms, Budget(args.budget))
     summit, conjugator = next(iter(sset.items()))
     _nf_report(rep, germ, summit, "summit")
@@ -132,6 +138,7 @@ def cmd_summit(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_isconj(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import conjugacy
     witness = conjugacy.are_conjugate(germ, *forms, Budget(args.budget))
     if witness is None:
         rep.add("conjugate", "no", "not conjugate")
@@ -142,6 +149,7 @@ def cmd_isconj(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_divide(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import divided
     counts = divided.count_subdivisions(germ, args.m)
     total = sum(counts.values())
     if args.count:
@@ -162,6 +170,7 @@ def cmd_divide(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_theta(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import divided
     dg = divided.build_divided_germ(germ, args.m)
     img = divided.theta_morphism(dg, *forms)
     _nf_report(rep, dg.germ, img, "theta")
@@ -169,6 +178,7 @@ def cmd_theta(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_periodic(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import divided, periodic
     cert = periodic.is_periodic(germ, *forms, args.p, args.q)
     if cert is None:
         rep.add("periodic", "no", f"not {args.p}/{args.q}-periodic")
@@ -195,6 +205,7 @@ def cmd_periodic(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_classify(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import divided, periodic
     cl = periodic.classify_periodic(germ, args.p, args.q)
     rep.add("classes", len(cl.components))
     for i, (comp, r) in enumerate(zip(cl.components, cl.representatives)):
@@ -205,6 +216,7 @@ def cmd_classify(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_centralizer(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import periodic
     try:
         report = periodic.centralizer_germ(germ, args.p)
     except GermError as exc:
@@ -219,6 +231,7 @@ def cmd_centralizer(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_nerve(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import nerve
     dim = nerve.garside_dimension(germ)
     top = args.dim if args.dim is not None else dim
     counts = [len(nerve.enumerate_nondegenerate(germ, n)) for n in range(top + 1)]
@@ -236,6 +249,7 @@ def cmd_nerve(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_zpoly(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import nerve
     dim = nerve.garside_dimension(germ)
     samples = args.samples if args.samples is not None else dim + 2
     z = nerve.fit_z_polynomial(germ, samples)
@@ -247,6 +261,7 @@ def cmd_zpoly(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_cover(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
+    from . import nerve
     basepoint = germ.object_named(args.source) if args.source else 0
     ball = nerve.cover_ball(germ, basepoint, args.radius)
     rep.add("vertices", len(ball.vertices))

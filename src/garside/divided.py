@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .conjugacy import fixed_subgerm
 from .germ import (
     GarsideGerm,
     GermError,
@@ -317,6 +316,7 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
     The grouping bijection D_{eq}(C) <-> D_e(C_q), verified to be a germ
     isomorphism C_{eq} ≅ (C_q)_e carrying Δ to Δ and intertwining the shifts.
     """
+    from .conjugacy import fixed_subgerm
     if e < 1 or q < 1:
         raise GermError("e and q must be positive")
     dg_eq = build_divided_germ(germ, e * q)

@@ -469,15 +469,14 @@ def validate(table: GermTable) -> GarsideGerm:
             )
         row[a] = b
         lmask[c] |= lbit[a]
-    seen: dict[tuple[int, int], int] = {}
     for (a, b), c in product.items():
-        key = (b, c)
-        if key in seen:
+        if rmask[c] & rbit[b]:
+            # The witness is the first a' with a'·b = c in product order.
+            first = next(x for x, y in divisors[c].items() if y == b)
             raise GermValidationError(
-                f"right cancellativity fails: {simples[seen[key]].name}·{simples[b].name} "
+                f"right cancellativity fails: {simples[first].name}·{simples[b].name} "
                 f"= {simples[a].name}·{simples[b].name} = {simples[c].name}"
             )
-        seen[key] = a
         rmask[c] |= rbit[b]
     germ.divisors, germ.lmask, germ.rmask = divisors, lmask, rmask
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .divided import count_subdivisions
 from .germ import GarsideGerm, GermError
 from .words import NormalForm, format_word, identity_nf, multiply, target
 
@@ -139,6 +138,7 @@ def check_cyclic_identities(germ: GarsideGerm, up_to_dim: int) -> CyclicReport:
 
 def count_factorizations(germ: GarsideGerm, r: int) -> dict[int, int]:
     """|D_r| per object (multichain counting, shared with the divided module)."""
+    from .divided import count_subdivisions
     if r < 1:
         raise GermError("r must be positive")
     return count_subdivisions(germ, r)

@@ -35,7 +35,6 @@ from .words import (
     identity_nf,
     multiply,
     normal_form,
-    power,
     target,
 )
 
@@ -50,11 +49,21 @@ class PeriodicityCertificate:
 def is_periodic(
     germ: GarsideGerm, gamma: NormalForm, p: int, q: int
 ) -> PeriodicityCertificate | None:
-    """Certificate iff gamma^q equals the Δ^p loop at the same object."""
+    """
+    Certificate iff gamma^q equals the Δ^p loop at the same object. If it
+    does, γ^j = Δ^p·(γ^{q-j})^{-1}, and as inf is superadditive and sup
+    subadditive, every γ^j with j < q has sup ≤ p - (q-j)·inf(γ) and
+    inf ≥ p - (q-j)·sup(γ); the first power that breaks a bound proves "no".
+    """
     as_loop(germ, gamma)
     if q < 1:
         raise GermError("q must be positive")
-    if equal(power(germ, gamma, q), delta_power_nf(gamma.source, p)):
+    cur = gamma
+    for j in range(1, q):
+        if cur.sup > p - (q - j) * gamma.inf or cur.inf < p - (q - j) * gamma.sup:
+            return None
+        cur = multiply(germ, cur, gamma)
+    if equal(cur, delta_power_nf(gamma.source, p)):
         return PeriodicityCertificate(gamma, p, q)
     return None
 

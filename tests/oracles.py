@@ -6,7 +6,7 @@ Everything here works straight off the product dict by exhaustive scanning.
 import math
 from itertools import product as cartesian
 
-from garside import NormalForm, invert, multiply
+from garside import NormalForm, invert, multiply, power
 from garside.germ import (
     Automorphism,
     BudgetExceeded,
@@ -528,3 +528,8 @@ def fixpoint_parse_word(germ, text: str) -> NormalForm:
             piece = fixpoint_normalize(germ, germ.simples[sid].source, [sid], 0)
             res = fixpoint_multiply(germ, res, piece)
     return res
+
+
+def reference_is_periodic(germ, gamma: NormalForm, p: int, q: int) -> bool:
+    """γ^q = Δ^p, decided by computing all of γ^q (q - 1 products)."""
+    return power(germ, gamma, q) == delta_power_nf(gamma.source, p)

@@ -1,0 +1,62 @@
+"""
+Which garside modules a CLI process loads: `import garside.cli` brings in
+only the germ, word and builtin modules, and each subcommand adds the library
+modules it runs. Every case runs in a fresh interpreter, so a module-level
+import that pulls the rest back in fails here, with no timing involved.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import garside
+
+SRC = str(Path(garside.__file__).resolve().parent.parent)
+A2 = str(Path(__file__).parent / "data" / "a2.germ")
+
+BASE = {"garside", "garside.builtins", "garside.cli", "garside.germ", "garside.words"}
+
+# name -> (argv of main, or None for the import alone; modules loaded besides BASE)
+CASES = {
+    "import": (None, set()),
+    "nf": (["nf", "--file", A2, "--word", "s t"], set()),
+    "validate": (["validate", "--file", A2], {"garside.nerve"}),
+    "summit": (["summit", "--file", A2, "--word", "s t t"], {"garside.conjugacy"}),
+    "divide": (["divide", "--file", A2, "--m", "2"], {"garside.divided"}),
+    "periodic": (
+        ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"],
+        {"garside.conjugacy", "garside.divided", "garside.periodic"},
+    ),
+    "nerve": (["nerve", "--file", A2], {"garside.nerve"}),
+}
+
+PROBE = """
+import contextlib, io, json, sys
+import garside.cli
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert garside.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "garside")))
+"""
+
+
+def loaded_modules(argv: list[str]) -> set[str]:
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_loads_only_the_modules_it_runs(name):
+    argv, extra = CASES[name]
+    assert loaded_modules(argv or []) == BASE | extra

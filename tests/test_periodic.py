@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from garside import equal, multiply, parse_word
+from garside import equal, multiply, normal_form, parse_word, power
+from garside import periodic
 from garside.divided import theta_morphism, theta_object
 from garside.germ import GermError
 from garside.periodic import (
@@ -19,6 +22,8 @@ from garside.periodic import (
 )
 from garside.words import delta_power_nf
 
+import oracles
+
 
 def test_is_periodic_examples(a2):
     w = lambda text: parse_word(a2, text)
@@ -27,6 +32,72 @@ def test_is_periodic_examples(a2):
     for p in range(-8, 9):
         for q in range(1, 9):
             assert is_periodic(a2, w("s"), p, q) is None
+
+
+def loop_at_first_object(germ, choices: list[int], k: int):
+    """
+    A loop γ·Δ^k at object 0: atoms picked by `choices` along a walk, closed
+    by a shortest atom path to the object that Δ^k carries back to 0.
+    """
+    word, at = [], 0
+    for c in choices:
+        out = [a for a in germ.atoms if germ.simples[a].source == at]
+        word.append(out[c % len(out)])
+        at = germ.simples[word[-1]].target
+    goal = germ.phi_power_obj(0, -k)
+    paths, frontier = {at: []}, [at]
+    while goal not in paths:
+        assert frontier, "atom graph is not strongly connected"
+        new = []
+        for x in frontier:
+            for a in germ.atoms:
+                y = germ.simples[a].target
+                if germ.simples[a].source == x and y not in paths:
+                    paths[y] = paths[x] + [a]
+                    new.append(y)
+        frontier = new
+    word += paths[goal]
+    return normal_form(germ, word, k) if word else delta_power_nf(0, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["a2", "rank2", "dual3", "chamber3"]),
+    choices=st.lists(st.integers(0, 7), max_size=5),
+    k=st.integers(-2, 2),
+    q=st.integers(1, 6),
+    near=st.booleans(),
+    p=st.integers(-6, 8),
+)
+def test_is_periodic_matches_reference(a2, rank2, dual3, chamber3, name, choices, k, q, near, p):
+    germ = {"a2": a2, "rank2": rank2, "dual3": dual3, "chamber3": chamber3}[name]
+    gamma = loop_at_first_object(germ, choices, k)
+    if near:
+        # p next to inf(γ^q), where the early bounds are tightest
+        p += power(germ, gamma, q).inf - 1
+    want = oracles.reference_is_periodic(germ, gamma, p, q)
+    cert = is_periodic(germ, gamma, p, q)
+    assert (cert is not None) == want
+    if want:
+        assert (cert.gamma, cert.p, cert.q) == (gamma, p, q)
+
+
+def test_is_periodic_stops_at_the_first_broken_bound(a2, monkeypatch):
+    calls = []
+
+    def counting_multiply(*args):
+        calls.append(args)
+        assert len(calls) < 100, "is_periodic is computing every power"
+        return multiply(*args)
+
+    monkeypatch.setattr(periodic, "multiply", counting_multiply)
+    # sup(s^j) = j, and s^5 breaks sup(s^j) <= 4 - (q - j)·inf(s) = 4
+    assert is_periodic(a2, parse_word(a2, "s"), 4, 300_000_000) is None
+    assert len(calls) == 4
+    calls.clear()
+    # a periodic loop takes all q - 1 products
+    assert is_periodic(a2, parse_word(a2, "s D^1"), 4, 3) is not None
+    assert len(calls) == 2
 
 
 def test_is_periodic_needs_loop_power(rank2):

@@ -108,6 +108,19 @@ NO_MEET = NON_LATTICE.replace("simple u : x -> x len 2\nsimple v : x -> x len 2\
 )
 
 
+# a·c = b·c = d with a ≠ b: associative and left cancellative, but not right
+# cancellative.
+RIGHT_CANCEL = """garside-germ v1
+object x
+simple a : x -> x
+simple b : x -> x
+simple c : x -> x
+simple d : x -> x len 2
+product a c = d
+product b c = d
+"""
+
+
 LATER_FAILURES = {"non_lattice": NON_LATTICE, "no_meet": NO_MEET, "uneven_deltas": UNEVEN_DELTAS}
 
 
@@ -117,6 +130,7 @@ LATER_FAILURES = {"non_lattice": NON_LATTICE, "no_meet": NO_MEET, "uneven_deltas
         (NON_LATTICE, "pair (a, b) lacks a join"),
         (NO_MEET, "pair (u, v) lacks a meet"),
         (UNEVEN_DELTAS, "phi does not preserve the graph at 'a'"),
+        pytest.param(RIGHT_CANCEL, "right cancellativity fails: a·c = b·c = d", id="right_cancel"),
     ],
 )
 def test_known_failures_match_reference(text, message):
