@@ -16,6 +16,7 @@ reported fact.
 
 A subcommand loads only the modules it runs: this module imports the germ,
 word and builtin modules, and each handler imports the library module it calls.
+The records are slot classes and NamedTuples, so no request imports dataclasses.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def cmd_theta(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 
 def cmd_periodic(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
-    from . import divided, periodic
+    from . import periodic
     cert = periodic.is_periodic(germ, *forms, args.p, args.q)
     if cert is None:
         rep.add("periodic", "no", f"not {args.p}/{args.q}-periodic")
@@ -196,6 +197,7 @@ def cmd_periodic(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
         f"Bestvina form: ({germ.simple_name(bf.s)}, k={bf.k})",
     )
     rep.add("bestvina_conjugator", words.format_word(germ, bf.conjugator))
+    from . import divided
     under = divided.tuple_name(germ, periodic.bestvina_object(germ, bf))
     rep.add("bestvina_object", under, f"object: {under}")
     nc = periodic.necklace_conjugator(germ, bf)

@@ -11,7 +11,7 @@ itself a simple, so the φ-twists are covered by the same edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .germ import (
     Automorphism,
@@ -27,17 +27,16 @@ from .germ import (
 )
 from .words import (
     NormalForm,
+    as_loop,
     delta_power_nf,
     equal,
     identity_nf,
     invert,
-    is_loop,
     multiply,
 )
 
 
-@dataclass(frozen=True)
-class ConjugacyWitness:
+class ConjugacyWitness(NamedTuple):
     g: NormalForm
     c: NormalForm
     h: NormalForm
@@ -46,12 +45,6 @@ class ConjugacyWitness:
         if not equal(multiply(germ, self.g, self.c), multiply(germ, self.c, self.h)):
             raise GermError("broken conjugacy witness")
         return self
-
-
-def as_loop(germ: GarsideGerm, f: NormalForm) -> NormalForm:
-    if not is_loop(germ, f):
-        raise GermError("expected a loop (source = target)")
-    return f
 
 
 def conjugate(germ: GarsideGerm, g: NormalForm, c: NormalForm) -> NormalForm:
@@ -156,8 +149,7 @@ def are_conjugate(
     return ConjugacyWitness(g, c, h).check(germ)
 
 
-@dataclass
-class FixedGermReport:
+class FixedGermReport(NamedTuple):
     subgerm: GarsideGerm | None            # None when there are no fixed objects
     object_inclusion: dict[int, int]       # subgerm object id -> ambient object id
     simple_inclusion: dict[int, int]       # subgerm simple id -> ambient simple id

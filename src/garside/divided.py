@@ -17,12 +17,14 @@ input. Names (a subdivision prints as its factor tuple) serve display only.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .germ import (
+    Budget,
     GarsideGerm,
     GermError,
     InternalError,
+    as_budget,
     assemble_table,
     germ_isomorphism,
     phi_automorphism,
@@ -103,8 +105,7 @@ def ladder_target(
     return tuple(tgt)
 
 
-@dataclass(frozen=True)
-class Ladder:
+class Ladder(NamedTuple):
     src: DividedObject
     columns: tuple[int, ...]
     tgt: DividedObject
@@ -146,8 +147,7 @@ def tuple_name(germ: GarsideGerm, f: tuple[int, ...]) -> str:
     return "(" + ",".join(f"({len(n)}'{n})" if set(n) & set("(),") else n for n in names) + ")"
 
 
-@dataclass
-class DividedGerm:
+class DividedGerm(NamedTuple):
     """The validated m-divided germ plus the dictionaries tying it to the base."""
 
     germ: GarsideGerm
@@ -168,8 +168,12 @@ class DividedGerm:
         return sid
 
 
-def build_divided_germ(germ: GarsideGerm, m: int) -> DividedGerm:
-    """Construct and fully validate the m-divided germ."""
+def build_divided_germ(
+    germ: GarsideGerm, m: int, budget: Budget | int | None = None
+) -> DividedGerm:
+    """Construct and fully validate the m-divided germ, after spending its |D_2m| simples."""
+    forecast = sum(count_subdivisions(germ, 2 * m).values())
+    as_budget(budget).spend(forecast, f": the {m}-divided germ would have {forecast} simples")
     objs = enumerate_subdivisions(germ, m)
     object_ix = {f: i for i, f in enumerate(objs)}
     ladders = [lad for f in objs for lad in ladders_from(germ, f)]
@@ -276,8 +280,7 @@ def theta_morphism(dg: DividedGerm, f: NormalForm) -> NormalForm:
 
 # -- the subdivision isomorphism D_eq(C) ≅ D_e(C_q) ------------------------
 
-@dataclass
-class SubdivisionIso:
+class SubdivisionIso(NamedTuple):
     e: int
     q: int
     eq_divided: DividedGerm          # C_{eq}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_'@(),-]+$")
 RESERVED = {"garside-germ", "v1", "object", "simple", "product", "delta", "len", ":", "->", "="}
@@ -55,17 +55,18 @@ class BudgetExceeded(GermError):
     """A configurable computation limit was hit before an answer was reached."""
 
 
-@dataclass
 class Budget:
-    """Step counter shared by search loops; spend() raises once exhausted."""
+    """Step counter shared by search loops; spend(n, what) raises once exhausted."""
 
-    limit: int
-    used: int = 0
+    __slots__ = ("limit", "used")
 
-    def spend(self, n: int = 1) -> None:
+    def __init__(self, limit: int, used: int = 0):
+        self.limit, self.used = limit, used
+
+    def spend(self, n: int = 1, what: str = "") -> None:
         self.used += n
         if self.used > self.limit:
-            raise BudgetExceeded(f"computation budget exceeded ({self.limit} steps)")
+            raise BudgetExceeded(f"computation budget exceeded ({self.limit} steps){what}")
 
 
 DEFAULT_BUDGET = 2_000_000
@@ -79,23 +80,43 @@ def as_budget(budget: Budget | int | None) -> Budget:
     return budget
 
 
-@dataclass(frozen=True)
-class ObjectRef:
-    id: int
-    name: str
+class _Ref:
+    """Slots compared, hashed and printed by value: a NamedTuple with half-price reads."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class SimpleRef:
-    id: int
-    name: str
-    source: int
-    target: int
-    length: int
+class ObjectRef(_Ref):
+    __slots__ = ("id", "name")
+
+    def __init__(self, id: int, name: str):
+        self.id, self.name = id, name
 
 
-@dataclass
-class GermTable:
+class SimpleRef(_Ref):
+    __slots__ = ("id", "name", "source", "target", "length")
+
+    def __init__(self, id: int, name: str, source: int, target: int, length: int):
+        self.id, self.name, self.length = id, name, length
+        self.source, self.target = source, target
+
+
+class GermTable(NamedTuple):
     """Raw germ data: objects, simples (identities included) and the partial product."""
 
     objects: list[ObjectRef]
@@ -419,25 +440,28 @@ def _check_table(table: GermTable) -> None:
     # (assoc): both bracketings agree, including definedness. Triples with an
     # identity factor hold by the unit laws and triples where neither adjacent
     # pair multiplies are vacuous, so for a·b = ab only the c with b·c or ab·c
-    # defined matter: the row of ab in the left-factor index must equal the row
-    # of b pushed through that of a. Dually for b·c = bc in the right-factor
-    # index. The least failing third factor is the witness, as in a full walk.
+    # defined matter: the row of ab in the left-factor index (a -> {b: a·b})
+    # must equal the row of b pushed through that of a. Dually for b·c = bc in
+    # the right-factor index (b -> {a: a·b}), filled after the left one is
+    # dropped. The least failing third factor is the witness, as in a full walk.
     units = set(table.identity)
-    after: list[dict[int, int]] = [{} for _ in simples]   # a -> {b: a·b}
-    before: list[dict[int, int]] = [{} for _ in simples]  # b -> {a: a·b}
-    steps = [(a, b, c) for (a, b), c in product.items() if a not in units and b not in units]
-    for a, b, c in steps:
-        after[a][b] = c
-        before[b][a] = c
-    for rows, walk in ((after, steps), (before, [(c, b, bc) for b, c, bc in steps])):
-        for p, q, pq in walk:
-            rp, rq, rpq = rows[p], rows[q], rows[pq]
+    for left in (True, False):
+        rows: list[dict[int, int]] = [{} for _ in simples]
+        for (a, b), c in product.items():
+            if a not in units and b not in units:
+                p, q = (a, b) if left else (b, a)
+                rows[p][q] = c
+        for (a, b), c in product.items():
+            if a in units or b in units:
+                continue
+            p, q = (a, b) if left else (b, a)
+            rp, rq, rpq = rows[p], rows[q], rows[c]
             if {k: e for k, v in rq.items() if (e := rp.get(v)) is not None} != rpq:
                 k = min(k for k in rq.keys() | rpq.keys() if rpq.get(k) != rp.get(rq.get(k)))
-                a, b, c = (p, q, k) if rows is after else (k, q, p)
+                x, y, z = (p, q, k) if left else (k, q, p)
                 raise GermValidationError(
                     "associativity fails at "
-                    f"({simples[a].name}, {simples[b].name}, {simples[c].name})"
+                    f"({simples[x].name}, {simples[y].name}, {simples[z].name})"
                 )
 
 
@@ -592,8 +616,7 @@ def _permutation_order(perm: list[int]) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(NamedTuple):
     """A germ automorphism, given by its action on object and simple ids."""
 
     obj_map: tuple[int, ...]

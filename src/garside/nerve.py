@@ -14,16 +14,17 @@ Newton polynomial fit, and the bounded universal-cover ball export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING, NamedTuple
 
 from .germ import GarsideGerm, GermError
 from .words import NormalForm, format_word, identity_nf, multiply, target
 
+if TYPE_CHECKING:  # imported by fit_z_polynomial, so only zpoly requests load it
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class NerveSimplex:
+
+class NerveSimplex(NamedTuple):
     basepoint: int
     factors: tuple[int, ...]
 
@@ -90,8 +91,7 @@ def face_zero(germ: GarsideGerm, sx: NerveSimplex) -> NerveSimplex:
     return NerveSimplex(germ.simples[sx.factors[0]].target, sx.factors[1:])
 
 
-@dataclass
-class CyclicReport:
+class CyclicReport(NamedTuple):
     checked: int
     shift_counterexamples: list[NerveSimplex]
     power_counterexamples: list[NerveSimplex]
@@ -144,8 +144,7 @@ def count_factorizations(germ: GarsideGerm, r: int) -> dict[int, int]:
     return count_subdivisions(germ, r)
 
 
-@dataclass(frozen=True)
-class ZPolynomial:
+class ZPolynomial(NamedTuple):
     """Counting polynomial in the Newton basis: Z(m) = Σ c_j · C(m-1, j)."""
 
     coefficients: tuple[Fraction, ...]
@@ -159,10 +158,7 @@ class ZPolynomial:
         return deg
 
     def __call__(self, m: int) -> Fraction:
-        return sum(
-            (c * comb(m - 1, j) for j, c in enumerate(self.coefficients)),
-            start=Fraction(0),
-        )
+        return sum(c * comb(m - 1, j) for j, c in enumerate(self.coefficients))
 
 
 def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
@@ -170,6 +166,7 @@ def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
     Newton forward-difference interpolation of m -> |D_m| through m = 1..samples.
     Verifies degree ≤ Garside dimension and two out-of-sample predictions.
     """
+    from fractions import Fraction
     dim = garside_dimension(germ)
     if samples < dim + 2:
         raise GermError(f"need at least dim+2 = {dim + 2} samples")
@@ -193,8 +190,7 @@ def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
 
 # -- bounded universal-cover ball -------------------------------------------
 
-@dataclass
-class CoverBall:
+class CoverBall(NamedTuple):
     basepoint: int
     radius: int
     vertices: list[NormalForm]

@@ -16,20 +16,12 @@ re-verified by normal-form equality before anything is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .conjugacy import FixedGermReport, as_loop, fixed_subgerm, summit_set
-from .divided import (
-    DividedGerm,
-    DividedObject,
-    build_divided_germ,
-    ladder_target,
-    theta_morphism,
-    theta_object,
-)
 from .germ import Budget, GarsideGerm, GermError, InternalError, phi_automorphism
 from .words import (
     NormalForm,
+    as_loop,
     delta_power_nf,
     equal,
     identity_nf,
@@ -38,9 +30,12 @@ from .words import (
     target,
 )
 
+if TYPE_CHECKING:  # imported where used, so a periodicity test loads neither module
+    from .conjugacy import FixedGermReport
+    from .divided import DividedGerm, DividedObject
 
-@dataclass(frozen=True)
-class PeriodicityCertificate:
+
+class PeriodicityCertificate(NamedTuple):
     gamma: NormalForm
     p: int
     q: int
@@ -68,8 +63,7 @@ def is_periodic(
     return None
 
 
-@dataclass(frozen=True)
-class BestvinaForm:
+class BestvinaForm(NamedTuple):
     s: int                      # simple id in the base germ
     k: int
     q: int
@@ -79,8 +73,7 @@ class BestvinaForm:
         return tuple(germ.phi_power(self.s, -i * self.k) for i in range(self.q))
 
 
-@dataclass(frozen=True)
-class NoLengthOneRepresentative:
+class NoLengthOneRepresentative(NamedTuple):
     """Documented failure value: the p ≡ 1 (mod q) reduction does not apply."""
 
     reason: str
@@ -110,6 +103,7 @@ def find_bestvina_form(
     Search the summit set of the certified loop for a representative of
     canonical length <= 1 and package it with its conjugator.
     """
+    from .conjugacy import summit_set
     p, q = cert.p, cert.q
     if (p - 1) % q != 0:
         return NoLengthOneRepresentative(f"p = {p} is not congruent to 1 mod q = {q}")
@@ -177,6 +171,7 @@ def apply_slides(
     Evaluate a slide word through ψ: each compatible slide becomes the ladder
     with a single non-identity column. Returns (ψ-image, final word tuple).
     """
+    from .divided import ladder_target
     q = len(word_tuple)
     words_t = [list(w) for w in word_tuple]
 
@@ -235,8 +230,7 @@ def _tuple_object_at(germ: GarsideGerm, words_t: list[list[int]], i: int) -> int
     raise GermError("empty word tuple has no anchor object")
 
 
-@dataclass
-class NecklaceConjugation:
+class NecklaceConjugation(NamedTuple):
     bf: BestvinaForm
     divided: DividedGerm
     conjugator: NormalForm        # in the q-divided germ: theta object -> letter tuple
@@ -253,6 +247,7 @@ def necklace_conjugator(
     Build c = ψ(β₂) from (ε, ..., ε, s₁...s_q) and verify
     Θ_q(sΔ^k)·c = c·Δ_q^p by normal-form equality.
     """
+    from .divided import build_divided_germ, theta_morphism, theta_object
     q = bf.q
     p = q * bf.k + 1
     if dg is None:
@@ -282,6 +277,7 @@ def psi_of_beta1(
     germ: GarsideGerm, bf: BestvinaForm, dg: DividedGerm | None = None
 ) -> NormalForm:
     """ψ(β₁) based at the letter tuple; normalizes to one Garside map Δ_q."""
+    from .divided import build_divided_germ
     if dg is None:
         dg = build_divided_germ(germ, bf.q)
     start = [[sid] for sid in bf.twisted_letters(germ)]
@@ -291,8 +287,7 @@ def psi_of_beta1(
 
 # -- classification ---------------------------------------------------------
 
-@dataclass
-class PeriodicClassification:
+class PeriodicClassification(NamedTuple):
     p: int
     q: int
     k: int
@@ -305,6 +300,8 @@ def classify_periodic(germ: GarsideGerm, p: int, q: int) -> PeriodicClassificati
     Conjugacy classes of p/q-periodic loops, as connected components of the
     φ_q^p-fixed subgerm of the q-divided germ.
     """
+    from .conjugacy import fixed_subgerm
+    from .divided import build_divided_germ
     if q < 1:
         raise GermError("q must be positive")
     if (p - 1) % q != 0:
@@ -328,6 +325,7 @@ def classify_periodic(germ: GarsideGerm, p: int, q: int) -> PeriodicClassificati
 
 def centralizer_germ(germ: GarsideGerm, p: int) -> FixedGermReport:
     """Fixed subgerm under φ^p; presents the centralizer of Δ^p where it is a loop."""
+    from .conjugacy import fixed_subgerm
     report = fixed_subgerm(germ, phi_automorphism(germ, p))
     if report.is_empty:
         raise GermError(f"phi^{p} has no fixed objects: delta^{p} is nowhere a loop")

@@ -21,15 +21,14 @@ the repair makes at the front, migrates right by Δ·g = g^{φ^{-1}}·Δ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .germ import BudgetExceeded, GarsideGerm, GermError, InternalError
 
 MAX_WORD_FACTORS = 1 << 16
 
 
-@dataclass(frozen=True)
-class PositiveWord:
+class PositiveWord(NamedTuple):
     """A composable sequence of simples; empty words need an explicit source."""
 
     source: int
@@ -46,8 +45,7 @@ class PositiveWord:
         return self
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     source: int
     factors: tuple[int, ...]
     delta_exp: int
@@ -74,6 +72,12 @@ def target(germ: GarsideGerm, f: NormalForm) -> int:
 
 def is_loop(germ: GarsideGerm, f: NormalForm) -> bool:
     return target(germ, f) == f.source
+
+
+def as_loop(germ: GarsideGerm, f: NormalForm) -> NormalForm:
+    if not is_loop(germ, f):
+        raise GermError("expected a loop (source = target)")
+    return f
 
 
 def identity_nf(oid: int) -> NormalForm:

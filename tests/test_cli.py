@@ -97,6 +97,19 @@ def test_divide_full_and_roundtrip(tmp_path, capsys):
     assert "objects: 17" in out
 
 
+def test_divide_refuses_a_divided_germ_over_the_budget(capsys):
+    # 𝒢_3 of artin6 would have |D_6| = 36,559,946 simples; the forecast
+    # refuses it before anything is built.
+    code = main(["divide", "--builtin", "artin_symmetric", "--param", "6", "--m", "3"])
+    assert code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: computation budget exceeded (2000000 steps): "
+        "the 3-divided germ would have 36559946 simples\n"
+    )
+
+
 def test_theta(capsys):
     code, out = run(capsys, "theta", "--file", A2, "--word", "s", "--m", "2")
     assert code == 0
@@ -265,9 +278,18 @@ def test_divide_keeps_tuple_names_apart(tmp_path, capsys):
 
 
 def test_internal_error_exits_5(monkeypatch, capsys):
-    from garside import periodic
+    from garside import divided
 
-    monkeypatch.setattr(periodic, "ladder_target", lambda *args: None)
+    # Break the ladder check once the divided germ is built, so that the
+    # first slide of the necklace conjugator fails it.
+    build = divided.build_divided_germ
+
+    def build_then_break(*args, **kwargs):
+        dg = build(*args, **kwargs)
+        monkeypatch.setattr(divided, "ladder_target", lambda *args: None)
+        return dg
+
+    monkeypatch.setattr(divided, "build_divided_germ", build_then_break)
     argv = ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"]
     assert main(argv) == 5
     assert capsys.readouterr().err == "internal error: slide does not map to a ladder\n"

@@ -1,8 +1,10 @@
 """
-Which garside modules a CLI process loads: `import garside.cli` brings in
-only the germ, word and builtin modules, and each subcommand adds the library
-modules it runs. Every case runs in a fresh interpreter, so a module-level
-import that pulls the rest back in fails here, with no timing involved.
+Which modules a CLI process loads: `import garside.cli` brings in only the
+germ, word and builtin modules, and each subcommand adds the library modules
+it runs. No case loads `dataclasses` or `inspect` (records are slot classes
+and NamedTuples), and only `zpoly` loads `fractions`. Every case runs in a
+fresh interpreter, so a module-level import that pulls the rest back in
+fails here, with no timing involved.
 """
 
 import json
@@ -19,6 +21,8 @@ SRC = str(Path(garside.__file__).resolve().parent.parent)
 A2 = str(Path(__file__).parent / "data" / "a2.germ")
 
 BASE = {"garside", "garside.builtins", "garside.cli", "garside.germ", "garside.words"}
+# Standard-library modules a request should load only where it needs them.
+WATCHED = ["dataclasses", "fractions", "inspect"]
 
 # name -> (argv of main, or None for the import alone; modules loaded besides BASE)
 CASES = {
@@ -31,16 +35,23 @@ CASES = {
         ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"],
         {"garside.conjugacy", "garside.divided", "garside.periodic"},
     ),
+    "periodic_no_certify": (
+        ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3"],
+        {"garside.periodic"},
+    ),
     "nerve": (["nerve", "--file", A2], {"garside.nerve"}),
+    "zpoly": (["zpoly", "--file", A2], {"garside.nerve", "garside.divided", "fractions"}),
+    "cover": (["cover", "--file", A2, "--radius", "2"], {"garside.nerve"}),
 }
 
-PROBE = """
+PROBE = f"""
 import contextlib, io, json, sys
 import garside.cli
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         assert garside.cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "garside")))
+watched = {WATCHED!r}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "garside" or m in watched)))
 """
 
 

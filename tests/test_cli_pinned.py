@@ -80,6 +80,7 @@ CASES = {
     "isconj_artin3_yes": (["isconj", *ARTIN, "3", "--word", "s s t", "--word", "t s s"], 0, None),
     "isconj_dual4_no": (["isconj", *DUAL, "4", "--word", "2134", "--word", "2134 1324"], 4, None),
     "divide_chamber4_count": (["divide", *CHAMBER, "4", "--m", "3", "--count"], 0, None),
+    "divide_artin6_m3_refused": (["divide", *ARTIN, "6", "--m", "3"], 3, None),
     "periodic_a2_not_periodic": (
         ["periodic", "--file", A2, "--word", "s", "--p", "4", "--q", "3"], 4, None,
     ),

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from garside import (
+    Budget,
+    BudgetExceeded,
     equal,
     germ_isomorphism,
     multiply,
@@ -31,6 +33,33 @@ from garside.divided import (
 from garside.words import NormalForm, delta_power_nf, identity_nf, invert, is_greedy
 
 import oracles
+
+
+# (base, m) -> |simples of the m-divided germ| = |D_2m| of the base
+DIVIDED_SIZES = {
+    ("a2", 2): 36, ("a2", 3): 106, ("rank2", 3): 212, ("dual3", 2): 22, ("chamber3", 2): 216,
+}
+
+
+@pytest.mark.parametrize("base,m", sorted(DIVIDED_SIZES))
+def test_divided_simples_are_the_forecast_2m_subdivisions(request, base, m):
+    germ = request.getfixturevalue(base)
+    forecast = sum(count_subdivisions(germ, 2 * m).values())
+    budget = Budget(forecast)
+    dg = build_divided_germ(germ, m, budget)
+    assert len(dg.germ.simples) == forecast == DIVIDED_SIZES[(base, m)]
+    assert budget.used == forecast
+
+
+def test_divided_germ_over_budget_is_refused_before_building(a2, monkeypatch):
+    import garside.divided as divided
+
+    monkeypatch.setattr(divided, "enumerate_subdivisions", None)  # never reached
+    with pytest.raises(BudgetExceeded) as exc:
+        build_divided_germ(a2, 3, Budget(105))
+    assert str(exc.value) == (
+        "computation budget exceeded (105 steps): the 3-divided germ would have 106 simples"
+    )
 
 
 def test_enumerate_counts_a2(a2):
