@@ -1,7 +1,6 @@
 """Finite-type Garside categories from germ descriptions."""
 
 from .germ import (
-    Automorphism,
     Budget,
     BudgetExceeded,
     GarsideGerm,
@@ -11,17 +10,13 @@ from .germ import (
     GermValidationError,
     InternalError,
     components,
-    germ_isomorphism,
     make_table,
     parse_germ,
-    phi_automorphism,
     table_to_text,
     validate,
 )
 from .words import (
     NormalForm,
-    PositiveWord,
-    equal,
     format_word,
     identity_nf,
     invert,

@@ -180,14 +180,15 @@ def cmd_theta(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
 
 def cmd_periodic(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     from . import periodic
-    cert = periodic.is_periodic(germ, *forms, args.p, args.q)
+    budget = Budget(args.budget)
+    cert = periodic.is_periodic(germ, *forms, args.p, args.q, budget)
     if cert is None:
         rep.add("periodic", "no", f"not {args.p}/{args.q}-periodic")
         return EXIT_NEGATIVE
     rep.add("periodic", "yes", f"{args.p}/{args.q}-periodic")
     if not args.certify:
         return EXIT_OK
-    bf = periodic.find_bestvina_form(germ, cert, Budget(args.budget))
+    bf = periodic.find_bestvina_form(germ, cert, budget)
     if isinstance(bf, periodic.NoLengthOneRepresentative):
         rep.add("bestvina", "none", f"no length-one representative: {bf.reason}")
         return EXIT_NEGATIVE

@@ -1,6 +1,6 @@
 """
 conjugacy: cycling/decycling to summits, summit-set closure, conjugacy
-decision with witnesses, and fixed subcategories under an automorphism.
+decision with witnesses, and fixed subcategories under a power of φ.
 
 A summit is a loop whose infimum is maximal and supremum minimal in its
 conjugacy class. Any conjugator between summits factors through summits
@@ -14,26 +14,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .germ import (
-    Automorphism,
     Budget,
     GarsideGerm,
     GermError,
     GermValidationError,
     as_budget,
     assemble_table,
-    check_automorphism,
     components,
     validate,
 )
-from .words import (
-    NormalForm,
-    as_loop,
-    delta_power_nf,
-    equal,
-    identity_nf,
-    invert,
-    multiply,
-)
+from .words import NormalForm, as_loop, delta_power_nf, identity_nf, invert, multiply
 
 
 class ConjugacyWitness(NamedTuple):
@@ -42,7 +32,7 @@ class ConjugacyWitness(NamedTuple):
     h: NormalForm
 
     def check(self, germ: GarsideGerm) -> "ConjugacyWitness":
-        if not equal(multiply(germ, self.g, self.c), multiply(germ, self.c, self.h)):
+        if multiply(germ, self.g, self.c) != multiply(germ, self.c, self.h):
             raise GermError("broken conjugacy witness")
         return self
 
@@ -161,26 +151,24 @@ class FixedGermReport(NamedTuple):
         return self.subgerm is None
 
 
-def psi_star(germ: GarsideGerm, psi: Automorphism, sid: int) -> int:
-    """Iterated join of the psi-orbit of a simple; stabilizes by atomicity."""
+def psi_star(germ: GarsideGerm, p: int, sid: int) -> int:
+    """Iterated join of the φ^p-orbit of a simple; stabilizes by atomicity."""
     u = sid
     while True:
-        v = germ.join(u, psi.on_simple(u))
+        v = germ.join(u, germ.phi_power(u, p))
         if v == u:
             return u
         u = v
 
 
-def fixed_subgerm(germ: GarsideGerm, psi: Automorphism) -> FixedGermReport:
+def fixed_subgerm(germ: GarsideGerm, p: int) -> FixedGermReport:
     """
-    The subgerm of psi-invariant simples at psi-fixed objects. The result is
-    validated as a Garside germ whenever non-empty.
+    The subgerm of φ^p-invariant simples at φ^p-fixed objects. The result is
+    validated as a Garside germ whenever non-empty. φ^p needs no check of its
+    own: validate checked that φ is an automorphism carrying Δ to Δ, and so
+    are its powers.
     """
-    check_automorphism(germ, psi)
-    fixed_objs = [o.id for o in germ.objects if psi.on_obj(o.id) == o.id]
-    for oid in fixed_objs:
-        if psi.on_simple(germ.delta[oid]) != germ.delta[oid]:
-            raise GermValidationError("psi does not fix delta at a fixed object")
+    fixed_objs = [o.id for o in germ.objects if germ.phi_power_obj(o.id, p) == o.id]
     if not fixed_objs:
         return FixedGermReport(None, {}, {}, [], {})
 
@@ -189,8 +177,8 @@ def fixed_subgerm(germ: GarsideGerm, psi: Automorphism) -> FixedGermReport:
     obj_pos = {o: i for i, o in enumerate(fixed_objs)}
     steps = [
         s for s in germ.simples
-        if s.length > 0 and psi.on_simple(s.id) == s.id
-        and s.source in obj_pos and s.target in obj_pos
+        if s.length > 0 and s.source in obj_pos and s.target in obj_pos
+        and germ.phi_power(s.id, p) == s.id
     ]
     inclusion = [germ.identity[o] for o in fixed_objs] + [s.id for s in steps]
     sub_id = {amb: i for i, amb in enumerate(inclusion)}
@@ -213,7 +201,7 @@ def fixed_subgerm(germ: GarsideGerm, psi: Automorphism) -> FixedGermReport:
     for b in sub.atoms:
         amb = simple_inclusion[b]
         amb_atom = next(a for a in germ.atoms if a in germ.divisors[amb])
-        if psi_star(germ, psi, amb_atom) != amb:
+        if psi_star(germ, p, amb_atom) != amb:
             raise GermValidationError(
                 f"subgerm atom {sub.simple_name(b)!r} is not a psi_* closure"
             )

@@ -26,8 +26,6 @@ from .germ import (
     InternalError,
     as_budget,
     assemble_table,
-    germ_isomorphism,
-    phi_automorphism,
     validate,
 )
 from .words import NormalForm, identity_nf, multiply, normal_form
@@ -314,6 +312,30 @@ def _regroup_object(dg_q: DividedGerm, f: DividedObject, e: int, q: int) -> Divi
     return tuple(out)
 
 
+def _check_isomorphism(
+    g1: GarsideGerm,
+    g2: GarsideGerm,
+    object_map: dict[int, int],
+    simple_map: dict[int, int],
+    what: str,
+) -> None:
+    """Raise unless the id maps are bijections carrying products, Δ and φ of g1 to g2's."""
+    if len(set(object_map.values())) != len(object_map) or len(object_map) != len(g2.objects):
+        raise InternalError(f"{what} is not bijective on objects")
+    if len(set(simple_map.values())) != len(simple_map) or len(simple_map) != len(g2.simples):
+        raise InternalError(f"{what} is not bijective on simples")
+    for (a, b), c in g1.product.items():
+        if g2.product.get((simple_map[a], simple_map[b])) != simple_map[c]:
+            raise InternalError(f"{what} does not preserve the product")
+    if len(g1.product) != len(g2.product):
+        raise InternalError(f"{what} misses products")
+    for i in range(len(g1.objects)):
+        if simple_map[g1.delta[i]] != g2.delta[object_map[i]]:
+            raise InternalError(f"{what} does not carry delta to delta")
+        if object_map[g1.phi_obj[i]] != g2.phi_obj[object_map[i]]:
+            raise InternalError(f"{what} does not intertwine the shifts")
+
+
 def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
     """
     The grouping bijection D_{eq}(C) <-> D_e(C_q), verified to be a germ
@@ -326,14 +348,10 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
     dg_q = build_divided_germ(germ, q)
     dg_it = build_divided_germ(dg_q.germ, e)
 
-    if len(dg_eq.objects) != len(dg_it.objects):
-        raise InternalError("subdivision counts disagree")
     object_map: dict[int, int] = {}
     for i, f in enumerate(dg_eq.objects):
         g = _regroup_object(dg_q, f, e, q)
         object_map[i] = dg_it.object_of(g)
-    if len(set(object_map.values())) != len(object_map):
-        raise InternalError("object regrouping is not injective")
 
     simple_map: dict[int, int] = {}
     for sid, lad in dg_eq.ladder_of.items():
@@ -347,34 +365,37 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
             cols_it.append(dg_q.ladder_simple(q_src, q_cols))
         image = dg_it.ladder_simple(src_it, tuple(cols_it))
         simple_map[sid] = image
-    if len(set(simple_map.values())) != len(simple_map) or len(simple_map) != len(
-        dg_it.ladder_of
-    ):
-        raise InternalError("simple regrouping is not bijective")
+    _check_isomorphism(dg_eq.germ, dg_it.germ, object_map, simple_map, "regrouping")
 
-    # Germ isomorphism: products, Δ, and the shift automorphisms line up.
-    g1, g2 = dg_eq.germ, dg_it.germ
-    for (a, b), c in g1.product.items():
-        if g2.product.get((simple_map[a], simple_map[b])) != simple_map[c]:
-            raise GermError("regrouping does not preserve the product")
-    if len(g1.product) != len(g2.product):
-        raise GermError("regrouping misses products")
-    for i in range(len(dg_eq.objects)):
-        if simple_map[g1.delta[i]] != g2.delta[object_map[i]]:
-            raise GermError("regrouping does not carry delta to delta")
-        if object_map[g1.phi_obj[i]] != g2.phi_obj[object_map[i]]:
-            raise GermError("regrouping does not intertwine the shifts")
-
-    # Opportunistic p=1 check of the fixed-subgerm refinement:
-    # C_{eq}^{φ_{eq}^e} ≅ (C_q^{φ_q})_e, when both sides are non-empty.
-    left = fixed_subgerm(g1, phi_automorphism(g1, e))
-    right_base = fixed_subgerm(dg_q.germ, phi_automorphism(dg_q.germ, 1))
+    # Opportunistic p=1 check of the fixed-subgerm refinement
+    # C_{eq}^{φ_{eq}^e} ≅ (C_q^{φ_q})_e, when both sides are non-empty: the
+    # regrouping, read through the two fixed-subgerm inclusions, is the map.
+    left = fixed_subgerm(dg_eq.germ, e)
+    right_base = fixed_subgerm(dg_q.germ, 1)
     if left.is_empty or right_base.is_empty:
         fixed_check = "skipped (empty fixed subgerm)"
     else:
         right = build_divided_germ(right_base.subgerm, e)
-        if germ_isomorphism(left.subgerm, right.germ) is None:
-            raise InternalError("fixed-subgerm refinement fails")
+        inc = right_base.simple_inclusion.__getitem__
+        obj_to_right = {
+            dg_it.object_of(tuple(map(inc, f))): i for i, f in enumerate(right.objects)
+        }
+        simple_to_right = {
+            dg_it.ladder_simple(tuple(map(inc, lad.src)), tuple(map(inc, lad.columns))): sid
+            for sid, lad in right.ladder_of.items()
+        }
+        try:
+            fixed_objects = {
+                i: obj_to_right[object_map[o]] for i, o in left.object_inclusion.items()
+            }
+            fixed_simples = {
+                i: simple_to_right[simple_map[s]] for i, s in left.simple_inclusion.items()
+            }
+        except KeyError:
+            raise InternalError("fixed-subgerm refinement fails") from None
+        _check_isomorphism(
+            left.subgerm, right.germ, fixed_objects, fixed_simples, "fixed-subgerm regrouping"
+        )
         fixed_check = "verified"
     return SubdivisionIso(
         e, q, dg_eq, dg_q, dg_it, object_map, simple_map, fixed_check

@@ -199,8 +199,10 @@ def make_table(
         product[key] = sc.id
 
     for oname, sname in (deltas or {}).items():
-        if oname not in obj_ix or sname not in simple_ix:
-            raise GermSyntaxError(f"delta line references unknown name")
+        if oname not in obj_ix:
+            raise GermSyntaxError(f"delta {oname} = {sname} references unknown object {oname!r}")
+        if sname not in simple_ix:
+            raise GermSyntaxError(f"delta {oname} = {sname} references unknown simple {sname!r}")
         oid = obj_ix[oname]
         sid = simple_ix[sname]
         if simple_refs[sid].source != oid:
@@ -538,14 +540,30 @@ def validate(table: GermTable) -> GarsideGerm:
         if len(image) != len(out) or image != set(into):
             raise GermValidationError(f"complement is not a bijection at object {obj.name!r}")
 
-    # φ = double complement; must be a germ automorphism.
-    germ.phi_simple = [germ.complement_[germ.complement_[s.id]] for s in simples]
-    check_automorphism(germ, Automorphism(tuple(germ.phi_obj), tuple(germ.phi_simple)), "phi")
-    germ.phi_simple_inv = [0] * len(simples)
-    for a, b in enumerate(germ.phi_simple):
-        germ.phi_simple_inv[b] = a
+    # φ = double complement, on objects a permutation (checked above); it must
+    # be a germ automorphism carrying Δ to Δ.
+    phi_obj = germ.phi_obj
+    germ.phi_simple = phi = [germ.complement_[germ.complement_[s.id]] for s in simples]
+    if sorted(phi) != list(range(len(simples))):
+        raise GermValidationError("phi does not permute simples")
+    for s in simples:
+        img = simples[phi[s.id]]
+        if img.source != phi_obj[s.source] or img.target != phi_obj[s.target] \
+                or img.length != s.length:
+            raise GermValidationError(f"phi does not preserve the graph at {s.name!r}")
+    germ.phi_simple_inv = inv = [0] * len(simples)
+    for a, b in enumerate(phi):
+        inv[b] = a
+    for (a, b), c in product.items():
+        if product.get((phi[a], phi[b])) != phi[c]:
+            raise GermValidationError("phi does not preserve the product")
+        if (inv[a], inv[b]) not in product:
+            raise GermValidationError("phi inverse does not preserve definedness")
+    for oid, d in enumerate(germ.delta):
+        if phi[d] != germ.delta[phi_obj[oid]]:
+            raise GermValidationError("phi does not map delta to delta")
 
-    germ.phi_order = _permutation_order(germ.phi_simple)
+    germ.phi_order = _permutation_order(phi)
 
     # Lattice: meets exist for every same-source pair; joins then exist too
     # (finite meet-semilattice with top), computed via the complement duality.
@@ -614,143 +632,6 @@ def _permutation_order(perm: list[int]) -> int:
             seen[i], i, n = True, perm[i], n + 1
         order = math.lcm(order, n) if n else order
     return order
-
-
-class Automorphism(NamedTuple):
-    """A germ automorphism, given by its action on object and simple ids."""
-
-    obj_map: tuple[int, ...]
-    simple_map: tuple[int, ...]
-
-    def on_obj(self, oid: int) -> int:
-        return self.obj_map[oid]
-
-    def on_simple(self, sid: int) -> int:
-        return self.simple_map[sid]
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        return Automorphism(
-            tuple(other.obj_map[x] for x in self.obj_map),
-            tuple(other.simple_map[s] for s in self.simple_map),
-        )
-
-
-def phi_automorphism(germ: GarsideGerm, power: int = 1) -> Automorphism:
-    psi = Automorphism(
-        tuple(range(len(germ.objects))), tuple(range(len(germ.simples)))
-    )
-    step = Automorphism(tuple(germ.phi_obj), tuple(germ.phi_simple))
-    for _ in range(power % germ.phi_order):
-        psi = psi.compose(step)
-    return psi
-
-
-def check_automorphism(germ: GarsideGerm, psi: Automorphism, name: str = "psi") -> None:
-    """Raise unless psi is an automorphism of the Garside structure; errors say `name`."""
-    if sorted(psi.obj_map) != list(range(len(germ.objects))):
-        raise GermValidationError(f"{name} does not permute objects")
-    if sorted(psi.simple_map) != list(range(len(germ.simples))):
-        raise GermValidationError(f"{name} does not permute simples")
-    for s in germ.simples:
-        img = germ.simples[psi.on_simple(s.id)]
-        if (
-            img.source != psi.on_obj(s.source)
-            or img.target != psi.on_obj(s.target)
-            or img.length != s.length
-        ):
-            raise GermValidationError(f"{name} does not preserve the graph at {s.name!r}")
-    inv = [0] * len(psi.simple_map)
-    for a, b in enumerate(psi.simple_map):
-        inv[b] = a
-    for (a, b), c in germ.product.items():
-        if germ.product.get((psi.on_simple(a), psi.on_simple(b))) != psi.on_simple(c):
-            raise GermValidationError(f"{name} does not preserve the product")
-        if (inv[a], inv[b]) not in germ.product:
-            raise GermValidationError(f"{name} inverse does not preserve definedness")
-    for sid in range(len(germ.simples)):
-        if psi.on_simple(germ.phi_simple[sid]) != germ.phi_simple[psi.on_simple(sid)]:
-            raise GermValidationError(f"{name} does not commute with phi")
-    for oid in range(len(germ.objects)):
-        if psi.on_simple(germ.delta[oid]) != germ.delta[psi.on_obj(oid)]:
-            raise GermValidationError(f"{name} does not map delta to delta")
-
-
-def germ_isomorphism(g1: GarsideGerm, g2: GarsideGerm) -> dict[int, int] | None:
-    """
-    Search for a germ isomorphism (a simple-id map preserving everything).
-    Backtracking; intended for desk-scale germs only. Returns None if the
-    germs are not isomorphic.
-    """
-    if (
-        len(g1.objects) != len(g2.objects)
-        or len(g1.simples) != len(g2.simples)
-        or len(g1.product) != len(g2.product)
-    ):
-        return None
-
-    def profile(g: GarsideGerm, sid: int) -> tuple:
-        s = g.simples[sid]
-        return (s.length, len(g.divisors[sid]), g.rmask[sid].bit_count(),
-                g.is_delta(sid), g.simples[g.phi_simple[sid]].length)
-
-    p1 = {s.id: profile(g1, s.id) for s in g1.simples}
-    buckets: dict[tuple, list[int]] = {}
-    for s in g2.simples:
-        buckets.setdefault(profile(g2, s.id), []).append(s.id)
-    order = sorted(range(len(g1.simples)), key=lambda sid: len(buckets.get(p1[sid], [])))
-
-    smap: dict[int, int] = {}
-    omap: dict[int, int] = {}
-    used: set[int] = set()
-
-    def objects_ok(sid: int, tid: int) -> bool:
-        s, t = g1.simples[sid], g2.simples[tid]
-        for o1, o2 in ((s.source, t.source), (s.target, t.target)):
-            if omap.get(o1, o2) != o2:
-                return False
-        return True
-
-    def assign(sid: int, tid: int, undo: list) -> bool:
-        s, t = g1.simples[sid], g2.simples[tid]
-        for o1, o2 in ((s.source, t.source), (s.target, t.target)):
-            if o1 not in omap:
-                omap[o1] = o2
-                undo.append(o1)
-        smap[sid] = tid
-        used.add(tid)
-        for a, ta in list(smap.items()):
-            for x, y in ((sid, a), (a, sid)):
-                c = g1.product.get((x, y))
-                c2 = g2.product.get((smap[x], smap[y]))
-                if (c is None) != (c2 is None):
-                    return False
-                if c is not None and c in smap and smap[c] != c2:
-                    return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return all(smap[c] == g2.product.get((smap[a], smap[b]))
-                       for (a, b), c in g1.product.items())
-        sid = order[i]
-        if sid in smap:
-            return backtrack(i + 1)
-        for tid in buckets.get(p1[sid], []):
-            if tid in used or not objects_ok(sid, tid):
-                continue
-            undo: list[int] = []
-            ok = assign(sid, tid, undo)
-            if ok and backtrack(i + 1):
-                return True
-            del smap[sid]
-            used.discard(tid)
-            for o in undo:
-                del omap[o]
-        return False
-
-    if backtrack(0):
-        return dict(smap)
-    return None
 
 
 def components(germ: GarsideGerm) -> list[list[int]]:

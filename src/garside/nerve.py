@@ -8,8 +8,8 @@ in the germ. Nondegenerate simplices have no identity factor and biject with
 strict chains 1 < u_1 < ... < u_n ≤ Δ.
 
 Also here: the special degeneracy (complete the product to Δ) and first face
-operators with their cyclic-shift identities, factorization counting with the
-Newton polynomial fit, and the bounded universal-cover ball export.
+operators with their cyclic-shift identities, the Newton polynomial fit of
+the subdivision counts, and the bounded universal-cover ball export.
 """
 
 from __future__ import annotations
@@ -136,14 +136,6 @@ def check_cyclic_identities(germ: GarsideGerm, up_to_dim: int) -> CyclicReport:
     return CyclicReport(checked, bad_shift, bad_power)
 
 
-def count_factorizations(germ: GarsideGerm, r: int) -> dict[int, int]:
-    """|D_r| per object (multichain counting, shared with the divided module)."""
-    from .divided import count_subdivisions
-    if r < 1:
-        raise GermError("r must be positive")
-    return count_subdivisions(germ, r)
-
-
 class ZPolynomial(NamedTuple):
     """Counting polynomial in the Newton basis: Z(m) = Σ c_j · C(m-1, j)."""
 
@@ -167,10 +159,12 @@ def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
     Verifies degree ≤ Garside dimension and two out-of-sample predictions.
     """
     from fractions import Fraction
+
+    from .divided import count_subdivisions
     dim = garside_dimension(germ)
     if samples < dim + 2:
         raise GermError(f"need at least dim+2 = {dim + 2} samples")
-    values = [sum(count_factorizations(germ, m).values()) for m in range(1, samples + 1)]
+    values = [sum(count_subdivisions(germ, m).values()) for m in range(1, samples + 1)]
     row = [Fraction(v) for v in values]
     coeffs = []
     while row:
@@ -182,7 +176,7 @@ def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
             f"fitted degree {z.degree} exceeds the Garside dimension {dim}"
         )
     for m in (samples + 1, samples + 2):
-        direct = sum(count_factorizations(germ, m).values())
+        direct = sum(count_subdivisions(germ, m).values())
         if z(m) != direct:
             raise GermError(f"polynomial prediction fails at m = {m}")
     return z

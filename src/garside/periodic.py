@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .germ import Budget, GarsideGerm, GermError, InternalError, phi_automorphism
+from .germ import Budget, GarsideGerm, GermError, InternalError, as_budget
 from .words import (
     NormalForm,
     as_loop,
     delta_power_nf,
-    equal,
     identity_nf,
     multiply,
     normal_form,
@@ -42,23 +41,29 @@ class PeriodicityCertificate(NamedTuple):
 
 
 def is_periodic(
-    germ: GarsideGerm, gamma: NormalForm, p: int, q: int
+    germ: GarsideGerm, gamma: NormalForm, p: int, q: int, budget: Budget | int | None = None
 ) -> PeriodicityCertificate | None:
     """
-    Certificate iff gamma^q equals the Δ^p loop at the same object. If it
-    does, γ^j = Δ^p·(γ^{q-j})^{-1}, and as inf is superadditive and sup
+    Certificate iff gamma^q equals the Δ^p loop at the same object. The
+    powers γ^j are formed in turn, each product spending one budget step per
+    factor, until one decides. If γ^j = Δ^r, then γ^q = Δ^p iff j divides q
+    and r·q/j = p, as no γ^i with 0 < i < j is a Δ-power. If γ^q = Δ^p, then
+    γ^j = Δ^p·(γ^{q-j})^{-1}, and as inf is superadditive and sup
     subadditive, every γ^j with j < q has sup ≤ p - (q-j)·inf(γ) and
     inf ≥ p - (q-j)·sup(γ); the first power that breaks a bound proves "no".
     """
     as_loop(germ, gamma)
     if q < 1:
         raise GermError("q must be positive")
-    cur = gamma
-    for j in range(1, q):
-        if cur.sup > p - (q - j) * gamma.inf or cur.inf < p - (q - j) * gamma.sup:
+    budget = as_budget(budget)
+    cur, j = gamma, 1
+    while cur.factors:
+        if j == q or cur.sup > p - (q - j) * gamma.inf or cur.inf < p - (q - j) * gamma.sup:
             return None
-        cur = multiply(germ, cur, gamma)
-    if equal(cur, delta_power_nf(gamma.source, p)):
+        budget.spend(len(cur.factors) + len(gamma.factors),
+                     f": raising the word to the power {q} reached power {j}")
+        cur, j = multiply(germ, cur, gamma), j + 1
+    if q % j == 0 and cur.delta_exp * (q // j) == p:
         return PeriodicityCertificate(gamma, p, q)
     return None
 
@@ -268,7 +273,7 @@ def necklace_conjugator(
     dpow = delta_power_nf(dg.object_of(under), p)
     lhs = multiply(dg.germ, theta, c)
     rhs = multiply(dg.germ, c, dpow)
-    if not equal(lhs, rhs):
+    if lhs != rhs:
         raise GermError("necklace conjugation equation failed verification")
     return NecklaceConjugation(bf, dg, c, theta, dpow)
 
@@ -308,8 +313,7 @@ def classify_periodic(germ: GarsideGerm, p: int, q: int) -> PeriodicClassificati
         raise GermError(f"p = {p} is not congruent to 1 mod q = {q}")
     k = (p - 1) // q
     dg = build_divided_germ(germ, q)
-    psi = phi_automorphism(dg.germ, p)
-    fixed = fixed_subgerm(dg.germ, psi)
+    fixed = fixed_subgerm(dg.germ, p)
     comps: list[list[DividedObject]] = []
     reps: list[NormalForm] = []
     if not fixed.is_empty:
@@ -326,7 +330,7 @@ def classify_periodic(germ: GarsideGerm, p: int, q: int) -> PeriodicClassificati
 def centralizer_germ(germ: GarsideGerm, p: int) -> FixedGermReport:
     """Fixed subgerm under φ^p; presents the centralizer of Δ^p where it is a loop."""
     from .conjugacy import fixed_subgerm
-    report = fixed_subgerm(germ, phi_automorphism(germ, p))
+    report = fixed_subgerm(germ, p)
     if report.is_empty:
         raise GermError(f"phi^{p} has no fixed objects: delta^{p} is nowhere a loop")
     return report

@@ -28,23 +28,6 @@ from .germ import BudgetExceeded, GarsideGerm, GermError, InternalError
 MAX_WORD_FACTORS = 1 << 16
 
 
-class PositiveWord(NamedTuple):
-    """A composable sequence of simples; empty words need an explicit source."""
-
-    source: int
-    factors: tuple[int, ...]
-
-    def check(self, germ: GarsideGerm) -> "PositiveWord":
-        at = self.source
-        for sid in self.factors:
-            if germ.simples[sid].source != at:
-                raise GermError(
-                    f"word is not composable at factor {germ.simple_name(sid)!r}"
-                )
-            at = germ.simples[sid].target
-        return self
-
-
 class NormalForm(NamedTuple):
     source: int
     factors: tuple[int, ...]
@@ -127,15 +110,17 @@ def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> No
 
 
 def normal_form(
-    germ: GarsideGerm, word: PositiveWord | list[int] | tuple[int, ...], delta_shift: int = 0
+    germ: GarsideGerm, word: list[int] | tuple[int, ...], delta_shift: int = 0
 ) -> NormalForm:
     """Normal form of word·Δ^{delta_shift}; the word may contain identities and Δ's."""
-    if not isinstance(word, PositiveWord):
-        if not word:
-            raise GermError("empty word needs an explicit source; use identity_nf")
-        word = PositiveWord(germ.simples[word[0]].source, tuple(word))
-    word.check(germ)
-    return _normalize(germ, word.source, list(word.factors), delta_shift)
+    if not word:
+        raise GermError("empty word needs an explicit source; use identity_nf")
+    source = at = germ.simples[word[0]].source
+    for sid in word:
+        if germ.simples[sid].source != at:
+            raise GermError(f"word is not composable at factor {germ.simple_name(sid)!r}")
+        at = germ.simples[sid].target
+    return _normalize(germ, source, list(word), delta_shift)
 
 
 def is_greedy(germ: GarsideGerm, f: NormalForm) -> bool:
@@ -167,10 +152,6 @@ def invert(germ: GarsideGerm, f: NormalForm) -> NormalForm:
         piece = _normalize(germ, germ.simples[bar].source, [bar], -1)
         res = multiply(germ, res, piece)
     return res
-
-
-def equal(f: NormalForm, g: NormalForm) -> bool:
-    return f == g
 
 
 def phi_on_morphism(germ: GarsideGerm, f: NormalForm, n: int) -> NormalForm:

@@ -6,15 +6,19 @@ Everything here works straight off the product dict by exhaustive scanning.
 import math
 from itertools import product as cartesian
 
+from typing import NamedTuple
+
 from garside import NormalForm, invert, multiply, power
+from garside.conjugacy import FixedGermReport
 from garside.germ import (
-    Automorphism,
     BudgetExceeded,
     GarsideGerm,
     GermError,
     GermValidationError,
     InternalError,
-    check_automorphism,
+    assemble_table,
+    components,
+    validate,
 )
 from garside.words import MAX_WORD_FACTORS, _delta_token, delta_power_nf, identity_nf, target
 
@@ -533,3 +537,181 @@ def fixpoint_parse_word(germ, text: str) -> NormalForm:
 def reference_is_periodic(germ, gamma: NormalForm, p: int, q: int) -> bool:
     """γ^q = Δ^p, decided by computing all of γ^q (q - 1 products)."""
     return power(germ, gamma, q) == delta_power_nf(gamma.source, p)
+
+
+# -- general automorphisms: the route fixed_subgerm(germ, p) replaced ---------
+
+class Automorphism(NamedTuple):
+    """A germ automorphism, given by its action on object and simple ids."""
+
+    obj_map: tuple[int, ...]
+    simple_map: tuple[int, ...]
+
+
+def phi_automorphism(germ, power: int = 1) -> Automorphism:
+    """φ^power as explicit maps, composed one φ at a time."""
+    obj_map, simple_map = tuple(range(len(germ.objects))), tuple(range(len(germ.simples)))
+    for _ in range(power % germ.phi_order):
+        obj_map = tuple(germ.phi_obj[x] for x in obj_map)
+        simple_map = tuple(germ.phi_simple[s] for s in simple_map)
+    return Automorphism(obj_map, simple_map)
+
+
+def check_automorphism(germ, psi: Automorphism, name: str = "psi") -> None:
+    """Raise unless psi is an automorphism of the Garside structure; errors say `name`."""
+    if sorted(psi.obj_map) != list(range(len(germ.objects))):
+        raise GermValidationError(f"{name} does not permute objects")
+    if sorted(psi.simple_map) != list(range(len(germ.simples))):
+        raise GermValidationError(f"{name} does not permute simples")
+    for s in germ.simples:
+        img = germ.simples[psi.simple_map[s.id]]
+        if (
+            img.source != psi.obj_map[s.source]
+            or img.target != psi.obj_map[s.target]
+            or img.length != s.length
+        ):
+            raise GermValidationError(f"{name} does not preserve the graph at {s.name!r}")
+    inv = [0] * len(psi.simple_map)
+    for a, b in enumerate(psi.simple_map):
+        inv[b] = a
+    for (a, b), c in germ.product.items():
+        if germ.product.get((psi.simple_map[a], psi.simple_map[b])) != psi.simple_map[c]:
+            raise GermValidationError(f"{name} does not preserve the product")
+        if (inv[a], inv[b]) not in germ.product:
+            raise GermValidationError(f"{name} inverse does not preserve definedness")
+    for sid in range(len(germ.simples)):
+        if psi.simple_map[germ.phi_simple[sid]] != germ.phi_simple[psi.simple_map[sid]]:
+            raise GermValidationError(f"{name} does not commute with phi")
+    for oid in range(len(germ.objects)):
+        if psi.simple_map[germ.delta[oid]] != germ.delta[psi.obj_map[oid]]:
+            raise GermValidationError(f"{name} does not map delta to delta")
+
+
+def reference_psi_star(germ, psi: Automorphism, sid: int) -> int:
+    """Iterated join of the psi-orbit of a simple."""
+    u = sid
+    while True:
+        v = germ.join(u, psi.simple_map[u])
+        if v == u:
+            return u
+        u = v
+
+
+def reference_fixed_subgerm(germ, psi: Automorphism) -> FixedGermReport:
+    """The subgerm of psi-invariant simples at psi-fixed objects, for any automorphism psi."""
+    check_automorphism(germ, psi)
+    fixed_objs = [o.id for o in germ.objects if psi.obj_map[o.id] == o.id]
+    for oid in fixed_objs:
+        if psi.simple_map[germ.delta[oid]] != germ.delta[oid]:
+            raise GermValidationError("psi does not fix delta at a fixed object")
+    if not fixed_objs:
+        return FixedGermReport(None, {}, {}, [], {})
+    obj_pos = {o: i for i, o in enumerate(fixed_objs)}
+    steps = [
+        s for s in germ.simples
+        if s.length > 0 and psi.simple_map[s.id] == s.id
+        and s.source in obj_pos and s.target in obj_pos
+    ]
+    inclusion = [germ.identity[o] for o in fixed_objs] + [s.id for s in steps]
+    sub_id = {amb: i for i, amb in enumerate(inclusion)}
+    products = []
+    for (a, b), c in germ.product.items():
+        if a in sub_id and b in sub_id and not germ.is_identity(a) and not germ.is_identity(b):
+            if c not in sub_id:
+                raise GermValidationError("product of invariant simples is not invariant")
+            products.append((sub_id[a], sub_id[b], sub_id[c]))
+    simples = [(s.name, obj_pos[s.source], obj_pos[s.target], s.length) for s in steps]
+    delta = {i: sub_id[germ.delta[o]] for i, o in enumerate(fixed_objs)}
+    sub = validate(assemble_table(
+        [germ.object_name(o) for o in fixed_objs], simples, products, delta
+    ))
+    atoms_realized = {}
+    for b in sub.atoms:
+        amb_atom = next(a for a in germ.atoms if a in germ.divisors[inclusion[b]])
+        if reference_psi_star(germ, psi, amb_atom) != inclusion[b]:
+            raise GermValidationError(
+                f"subgerm atom {sub.simple_name(b)!r} is not a psi_* closure"
+            )
+        atoms_realized[b] = amb_atom
+    return FixedGermReport(
+        sub, dict(enumerate(fixed_objs)), dict(enumerate(inclusion)), components(sub),
+        atoms_realized,
+    )
+
+
+def germ_isomorphism(g1: GarsideGerm, g2: GarsideGerm) -> dict[int, int] | None:
+    """
+    Search for a germ isomorphism (a simple-id map preserving everything).
+    Backtracking; intended for desk-scale germs only. Returns None if the
+    germs are not isomorphic.
+    """
+    if (
+        len(g1.objects) != len(g2.objects)
+        or len(g1.simples) != len(g2.simples)
+        or len(g1.product) != len(g2.product)
+    ):
+        return None
+
+    def profile(g: GarsideGerm, sid: int) -> tuple:
+        s = g.simples[sid]
+        return (s.length, len(g.divisors[sid]), g.rmask[sid].bit_count(),
+                g.is_delta(sid), g.simples[g.phi_simple[sid]].length)
+
+    p1 = {s.id: profile(g1, s.id) for s in g1.simples}
+    buckets: dict[tuple, list[int]] = {}
+    for s in g2.simples:
+        buckets.setdefault(profile(g2, s.id), []).append(s.id)
+    order = sorted(range(len(g1.simples)), key=lambda sid: len(buckets.get(p1[sid], [])))
+
+    smap: dict[int, int] = {}
+    omap: dict[int, int] = {}
+    used: set[int] = set()
+
+    def objects_ok(sid: int, tid: int) -> bool:
+        s, t = g1.simples[sid], g2.simples[tid]
+        for o1, o2 in ((s.source, t.source), (s.target, t.target)):
+            if omap.get(o1, o2) != o2:
+                return False
+        return True
+
+    def assign(sid: int, tid: int, undo: list) -> bool:
+        s, t = g1.simples[sid], g2.simples[tid]
+        for o1, o2 in ((s.source, t.source), (s.target, t.target)):
+            if o1 not in omap:
+                omap[o1] = o2
+                undo.append(o1)
+        smap[sid] = tid
+        used.add(tid)
+        for a, ta in list(smap.items()):
+            for x, y in ((sid, a), (a, sid)):
+                c = g1.product.get((x, y))
+                c2 = g2.product.get((smap[x], smap[y]))
+                if (c is None) != (c2 is None):
+                    return False
+                if c is not None and c in smap and smap[c] != c2:
+                    return False
+        return True
+
+    def backtrack(i: int) -> bool:
+        if i == len(order):
+            return all(smap[c] == g2.product.get((smap[a], smap[b]))
+                       for (a, b), c in g1.product.items())
+        sid = order[i]
+        if sid in smap:
+            return backtrack(i + 1)
+        for tid in buckets.get(p1[sid], []):
+            if tid in used or not objects_ok(sid, tid):
+                continue
+            undo: list[int] = []
+            ok = assign(sid, tid, undo)
+            if ok and backtrack(i + 1):
+                return True
+            del smap[sid]
+            used.discard(tid)
+            for o in undo:
+                del omap[o]
+        return False
+
+    if backtrack(0):
+        return dict(smap)
+    return None

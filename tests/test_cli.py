@@ -134,6 +134,20 @@ def test_periodic_negative(capsys):
     assert code == 4
 
 
+def test_periodic_spends_the_request_budget(capsys):
+    # s^j stays within both early bounds until j = q - p, so the search for a
+    # Δ-power ends on the budget
+    code = main([
+        "periodic", "--file", A2, "--word", "s", "--p", "150000000", "--q", "300000000",
+        "--budget", "1000",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: computation budget exceeded (1000 steps): "
+        "raising the word to the power 300000000 reached power 44\n"
+    )
+
+
 def test_periodic_no_length_one(capsys):
     code, out = run(
         capsys, "periodic", "--file", A2, "--word", "s t", "--p", "2", "--q", "3",

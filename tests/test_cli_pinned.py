@@ -87,6 +87,10 @@ CASES = {
     "periodic_a2_not_periodic_huge_q": (
         ["periodic", "--file", A2, "--word", "s", "--p", "4", "--q", "300000000"], 4, None,
     ),
+    "periodic_a2_huge_q": (
+        ["periodic", "--file", A2, "--word", "s D^1", "--p", "400000000", "--q", "300000000"],
+        0, None,
+    ),
     "nerve_dual3_dim2": (
         ["nerve", *DUAL, "3", "--dim", "2", "--out", "nerve.txt"], 0,
         "24ebb2daa58d2864884cb749a3260c1b59d5c5cdb3bd93d2071c3bf681be6913",

@@ -3,13 +3,13 @@ import pytest
 from garside import (
     GermError,
     components,
-    equal,
     identity_nf,
     multiply,
     parse_word,
-    phi_automorphism,
+    table_to_text,
     validate,
 )
+from garside import builtins as germ_builtins
 from garside.conjugacy import (
     are_conjugate,
     conjugate,
@@ -19,7 +19,6 @@ from garside.conjugacy import (
     to_summit,
 )
 from garside.divided import tuple_name
-from garside.germ import Automorphism, GermValidationError
 
 import oracles
 
@@ -52,7 +51,7 @@ def test_witness_equation_holds(a2):
     for g_text, c_text in [("s t", "s"), ("s", "t s"), ("t t", "s t D^-1")]:
         g, c = w(g_text), w(c_text)
         h = conjugate(a2, g, c)
-        assert equal(multiply(a2, g, c), multiply(a2, c, h))
+        assert multiply(a2, g, c) == multiply(a2, c, h)
 
 
 def test_summit_set_examples(a2):
@@ -66,7 +65,7 @@ def test_summit_set_witnesses_verify(a2):
     w = lambda text: parse_word(a2, text)
     g = w("s s t")
     for h, c in summit_set(a2, g).items():
-        assert equal(multiply(a2, g, c), multiply(a2, c, h))
+        assert multiply(a2, g, c) == multiply(a2, c, h)
 
 
 def test_summit_set_uniform_inf_sup_and_closure(a2):
@@ -88,7 +87,7 @@ def test_are_conjugate_examples(a2):
     w = lambda text: parse_word(a2, text)
     wit = are_conjugate(a2, w("s"), w("t"))
     assert wit is not None
-    assert equal(multiply(a2, w("s"), wit.c), multiply(a2, wit.c, w("t")))
+    assert multiply(a2, w("s"), wit.c) == multiply(a2, wit.c, w("t"))
     # the Δ-witness from the naturality relation also works
     assert conjugate(a2, w("s"), w("@x D^1")) == w("t")
     wit2 = are_conjugate(a2, w("s t"), w("t s"))
@@ -104,29 +103,29 @@ def test_summit_sets_match_oracle_small(a2):
 
 
 def test_fixed_subgerm_phi(a2):
-    rep = fixed_subgerm(a2, phi_automorphism(a2))
+    rep = fixed_subgerm(a2, 1)
     assert [rep.subgerm.object_name(o) for o in range(len(rep.subgerm.objects))] == ["x"]
     assert sorted(s.name for s in rep.subgerm.simples) == ["D", "id@x"]
     assert [rep.subgerm.simple_name(a) for a in rep.subgerm.atoms] == ["D"]
     assert rep.components == [[0]]
     # psi_* closure of either atom is the join of the full orbit: s ∨ t = Δ
     s = a2.simple_named("s")
-    assert a2.simple_name(psi_star(a2, phi_automorphism(a2), s)) == "D"
+    assert a2.simple_name(psi_star(a2, 1, s)) == "D"
 
 
 def test_fixed_subgerm_identity_power(a2):
-    rep = fixed_subgerm(a2, phi_automorphism(a2, 2))
+    rep = fixed_subgerm(a2, 2)
     assert len(rep.subgerm.simples) == len(a2.simples)
 
 
 def test_fixed_subgerm_empty(rank2):
-    rep = fixed_subgerm(rank2, phi_automorphism(rank2))
+    rep = fixed_subgerm(rank2, 1)
     assert rep.is_empty
     assert rep.components == []
 
 
 def test_fixed_subgerm_validates(a2, a2_div3):
-    rep = fixed_subgerm(a2_div3.germ, phi_automorphism(a2_div3.germ, 2))
+    rep = fixed_subgerm(a2_div3.germ, 2)
     assert not rep.is_empty
     names = sorted(
         tuple_name(a2, a2_div3.objects[rep.object_inclusion[o]])
@@ -136,13 +135,36 @@ def test_fixed_subgerm_validates(a2, a2_div3):
     assert len(rep.components) == 1  # Δ_3 at (s,t,s) is invariant and joins them
 
 
-def test_fixed_subgerm_rejects_non_automorphism(a2):
-    n = len(a2.simples)
-    s, t = a2.simple_named("s"), a2.simple_named("t")
-    swap = list(range(n))
-    swap[s], swap[t] = t, s  # swaps the atoms but fixes st, ts: not a germ map
-    with pytest.raises(GermValidationError):
-        fixed_subgerm(a2, Automorphism((0,), tuple(swap)))
+FIXED_GERMS = [
+    "artin_symmetric-2", "artin_symmetric-3", "dual_braid-2", "dual_braid-3",
+    "dihedral_chamber-2", "dihedral_chamber-3", "rank2_counterexample", "a2_div2", "a2_div3",
+]
+
+
+@pytest.mark.parametrize("name", FIXED_GERMS)
+def test_fixed_subgerm_matches_the_automorphism_route(request, name):
+    # fixed_subgerm(germ, p) against the general route: φ^p as explicit maps,
+    # the full automorphism check, and the fixed subgerm of that map
+    if name.startswith("a2_"):
+        germ = request.getfixturevalue(name).germ
+    else:
+        family, _, param = name.partition("-")
+        germ = validate(germ_builtins.build(family, int(param) if param else None))
+    for p in range(2 * germ.phi_order + 1):
+        psi = oracles.phi_automorphism(germ, p)
+        got, want = fixed_subgerm(germ, p), oracles.reference_fixed_subgerm(germ, psi)
+        assert got.is_empty == want.is_empty
+        assert got.object_inclusion == want.object_inclusion
+        assert got.simple_inclusion == want.simple_inclusion
+        assert got.components == want.components
+        assert got.atoms_realized == want.atoms_realized
+        if got.is_empty:
+            continue
+        assert table_to_text(got.subgerm) == table_to_text(want.subgerm)
+        fixed = set(got.object_inclusion.values())
+        for a in germ.atoms:
+            if germ.simples[a].source in fixed:
+                assert psi_star(germ, p, a) == oracles.reference_psi_star(germ, psi, a)
 
 
 def test_components(a2, rank2, a2_div3):

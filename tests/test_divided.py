@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from garside import (
     Budget,
     BudgetExceeded,
-    equal,
-    germ_isomorphism,
     multiply,
     normal_form,
     parse_germ,
     parse_word,
-    phi_automorphism,
     table_to_text,
     validate,
 )
@@ -106,7 +103,7 @@ def test_ladders_between_examples(a2, a2_div3):
 
 def test_build_divided_m1_recovers_base(a2):
     dg = build_divided_germ(a2, 1)
-    assert germ_isomorphism(dg.germ, a2) is not None
+    assert oracles.germ_isomorphism(dg.germ, a2) is not None
 
 
 def test_build_divided_a2_3(a2_div3):
@@ -160,19 +157,18 @@ def test_divided_dimension_stable(a2):
 def test_fixed_divided_dimension_bound(a2, dual3):
     # opportunistic: m × dim(C_m fixed under its shift) ≤ dim(C fixed under φ),
     # checked whenever the fixed subgerms are non-empty
-    from garside import phi_automorphism
     from garside.conjugacy import fixed_subgerm
     from garside.nerve import garside_dimension
 
     checked = 0
     for germ in (a2, dual3):
-        base_fixed = fixed_subgerm(germ, phi_automorphism(germ))
+        base_fixed = fixed_subgerm(germ, 1)
         if base_fixed.is_empty:
             continue
         bound = garside_dimension(base_fixed.subgerm)
         for m in (1, 2, 3):
             dg = build_divided_germ(germ, m)
-            rep = fixed_subgerm(dg.germ, phi_automorphism(dg.germ))
+            rep = fixed_subgerm(dg.germ, 1)
             if rep.is_empty:
                 continue
             assert garside_dimension(rep.subgerm) * m <= bound
@@ -191,7 +187,7 @@ def test_theta_simple_functorial(a2, a2_div3):
     s, t, D = (a2.simple_named(n) for n in ("s", "t", "D"))
     ths, tht, thD = (theta_simple(a2_div3, sid) for sid in (s, t, D))
     comp = multiply(a2_div3.germ, multiply(a2_div3.germ, ths, tht), ths)
-    assert equal(comp, thD)
+    assert comp == thD
 
 
 def test_theta_m1_is_identity_functor(a2):
@@ -240,15 +236,15 @@ def test_theta_functorial_random_pairs(a2, a2_div2, a2_div3):
             fg = multiply(a2, f, g)
             lhs = theta_morphism(dg, fg)
             rhs = multiply(dg.germ, theta_morphism(dg, f), theta_morphism(dg, g))
-            assert equal(lhs, rhs)
+            assert lhs == rhs
 
 
 def test_theta_preserves_equality_samples(a2, a2_div2):
     pairs = [("s t s", "t s t"), ("s s t s", "s t s t"), ("s t D^-1 s", "s t D^-1 s")]
     for w1, w2 in pairs:
         f, g = parse_word(a2, w1), parse_word(a2, w2)
-        assert equal(f, g)
-        assert equal(theta_morphism(a2_div2, f), theta_morphism(a2_div2, g))
+        assert f == g
+        assert theta_morphism(a2_div2, f) == theta_morphism(a2_div2, g)
 
 
 @pytest.mark.parametrize("e,q", [(2, 2), (2, 3), (3, 2)])
@@ -270,6 +266,27 @@ def test_subdivision_iso_fixed_subgerm_check(a2):
     assert iso.fixed_check == "verified"
     iso2 = subdivision_iso(a2, 2, 3)
     assert iso2.fixed_check.startswith("skipped")
+
+
+@pytest.mark.parametrize("base,top", [("a2", 3), ("dual3", 2)])
+def test_subdivision_iso_fixed_check_agrees_with_isomorphism_search(request, base, top):
+    # The explicit regrouping map verifies C_{eq}^{φ_{eq}^e} ≅ (C_q^{φ_q})_e
+    # exactly when the backtracking search finds an isomorphism.
+    germ = request.getfixturevalue(base)
+    verified = 0
+    for e in range(1, top + 1):
+        for q in range(1, top + 1):
+            iso = subdivision_iso(germ, e, q)
+            left = fixed_subgerm(iso.eq_divided.germ, e)
+            right_base = fixed_subgerm(iso.q_divided.germ, 1)
+            if left.is_empty or right_base.is_empty:
+                assert iso.fixed_check == "skipped (empty fixed subgerm)"
+                continue
+            right = build_divided_germ(right_base.subgerm, e)
+            assert oracles.germ_isomorphism(left.subgerm, right.germ) is not None
+            assert iso.fixed_check == "verified"
+            verified += 1
+    assert verified == top
 
 
 def test_enumerate_matches_count_on_builtins(dual3, chamber3):
@@ -327,7 +344,7 @@ def test_divided_and_fixed_germs_roundtrip_through_text(request, base, m):
         assert dg.simple_ix[(lad.src, lad.columns)] == sid
     fixed = 0
     for p in range(1, g.phi_order + 1):
-        rep = fixed_subgerm(g, phi_automorphism(g, p))
+        rep = fixed_subgerm(g, p)
         if rep.is_empty:
             continue
         fixed += 1

@@ -5,14 +5,13 @@ import pytest
 
 from garside import builtins as germ_builtins
 from garside import parse_germ, validate
-from garside.divided import enumerate_subdivisions
+from garside.divided import count_subdivisions, enumerate_subdivisions
 from garside.germ import GermError
 from garside.nerve import (
     NerveSimplex,
     ZPolynomial,
     atom_graph_dot,
     check_cyclic_identities,
-    count_factorizations,
     cover_ball,
     cover_ball_dot,
     enumerate_nondegenerate,
@@ -170,15 +169,15 @@ def test_double_shift_on_atom(a2):
 
 
 def test_count_factorizations(a2, rank2):
-    assert [sum(count_factorizations(a2, r).values()) for r in (1, 2, 3, 4)] == [1, 6, 17, 36]
-    assert sum(count_factorizations(a2, 1).values()) == len(a2.objects)
-    assert sum(count_factorizations(rank2, 1).values()) == len(rank2.objects)
+    assert [sum(count_subdivisions(a2, r).values()) for r in (1, 2, 3, 4)] == [1, 6, 17, 36]
+    assert sum(count_subdivisions(a2, 1).values()) == len(a2.objects)
+    assert sum(count_subdivisions(rank2, 1).values()) == len(rank2.objects)
     # counting agrees with the raw cartesian oracle
     for r in (2, 3):
         brute = sum(
             len(oracles.subdivision_tuples(rank2, obj.id, r)) for obj in rank2.objects
         )
-        assert sum(count_factorizations(rank2, r).values()) == brute
+        assert sum(count_subdivisions(rank2, r).values()) == brute
 
 
 def test_count_consistency_with_divided(a2):
@@ -186,8 +185,8 @@ def test_count_consistency_with_divided(a2):
 
     dq = build_divided_germ(a2, 3)
     for e in (1, 2):
-        assert sum(count_factorizations(dq.germ, e).values()) == sum(
-            count_factorizations(a2, 3 * e).values()
+        assert sum(count_subdivisions(dq.germ, e).values()) == sum(
+            count_subdivisions(a2, 3 * e).values()
         )
 
 
@@ -195,7 +194,7 @@ def test_fit_z_polynomial_a2(a2):
     z = fit_z_polynomial(a2, 5)
     assert z.degree == 3
     assert [z(m) for m in (1, 2, 3, 4, 5)] == [1, 6, 17, 36, 65]
-    assert z(6) == sum(count_factorizations(a2, 6).values()) == 106
+    assert z(6) == sum(count_subdivisions(a2, 6).values()) == 106
 
 
 def test_fit_z_polynomial_trivial_germ():

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garside import equal, multiply, normal_form, parse_word, power
+from garside import multiply, normal_form, parse_word, power
 from garside import periodic
 from garside.divided import theta_morphism, theta_object
-from garside.germ import GermError
+from garside.germ import Budget, BudgetExceeded, GermError
 from garside.periodic import (
     BestvinaForm,
     NoLengthOneRepresentative,
@@ -28,6 +28,9 @@ import oracles
 def test_is_periodic_examples(a2):
     w = lambda text: parse_word(a2, text)
     assert is_periodic(a2, w("s t"), 2, 3) is not None
+    # (st)^3 = Δ^2 is the first Δ-power, so (st)^4 = Δ^2·st is none
+    assert is_periodic(a2, w("s t"), 4, 6) is not None
+    assert is_periodic(a2, w("s t"), 2, 4) is None
     assert is_periodic(a2, w("s D^1"), 4, 3) is not None
     for p in range(-8, 9):
         for q in range(1, 9):
@@ -65,7 +68,7 @@ def loop_at_first_object(germ, choices: list[int], k: int):
     name=st.sampled_from(["a2", "rank2", "dual3", "chamber3"]),
     choices=st.lists(st.integers(0, 7), max_size=5),
     k=st.integers(-2, 2),
-    q=st.integers(1, 6),
+    q=st.integers(1, 12),
     near=st.booleans(),
     p=st.integers(-6, 8),
 )
@@ -95,9 +98,23 @@ def test_is_periodic_stops_at_the_first_broken_bound(a2, monkeypatch):
     assert is_periodic(a2, parse_word(a2, "s"), 4, 300_000_000) is None
     assert len(calls) == 4
     calls.clear()
-    # a periodic loop takes all q - 1 products
+    # a periodic loop stops at its first Δ-power: (sΔ)^3 = Δ^4
     assert is_periodic(a2, parse_word(a2, "s D^1"), 4, 3) is not None
     assert len(calls) == 2
+    calls.clear()
+    assert is_periodic(a2, parse_word(a2, "s D^1"), 400_000_000, 300_000_000) is not None
+    assert is_periodic(a2, parse_word(a2, "s D^1"), 400_000_001, 300_000_000) is None
+    assert is_periodic(a2, parse_word(a2, "s D^1"), 4, 4) is None
+    assert len(calls) == 4
+
+
+def test_is_periodic_spends_one_step_per_factor(a2):
+    # s^j has j factors and keeps within both bounds until j = q - p, so only
+    # the budget ends this search
+    budget = Budget(1000)
+    with pytest.raises(BudgetExceeded, match="reached power 44$"):
+        is_periodic(a2, parse_word(a2, "s"), 150_000_000, 300_000_000, budget)
+    assert budget.used == sum(j + 1 for j in range(1, 45))
 
 
 def test_is_periodic_needs_loop_power(rank2):
@@ -134,9 +151,7 @@ def test_find_bestvina_after_conjugation(a2):
     bf = find_bestvina_form(a2, cert)
     assert isinstance(bf, BestvinaForm)
     target = parse_word(a2, f"{a2.simple_name(bf.s)} D^1")
-    assert equal(
-        multiply(a2, g, bf.conjugator), multiply(a2, bf.conjugator, target)
-    )
+    assert multiply(a2, g, bf.conjugator) == multiply(a2, bf.conjugator, target)
 
 
 def test_bestvina_object_examples(a2):
@@ -162,7 +177,7 @@ def test_necklace_conjugator_a2(a2, a2_div3):
     nc = necklace_conjugator(a2, bf, a2_div3)
     lhs = multiply(a2_div3.germ, nc.theta_image, nc.conjugator)
     rhs = multiply(a2_div3.germ, nc.conjugator, nc.delta_power)
-    assert equal(lhs, rhs)
+    assert lhs == rhs
     assert nc.delta_power == delta_power_nf(
         a2_div3.object_of(tuple(a2.simple_named(n) for n in ("s", "t", "s"))), 4
     )
@@ -184,7 +199,7 @@ def test_theta_equals_beta1_power(a2, a2_div3):
     bf = find_bestvina_form(a2, is_periodic(a2, f, 4, 3))
     start = [[], [], list(bf.twisted_letters(a2))]
     image, final = apply_slides(a2, a2_div3, start, beta1_slides(3) * 4)
-    assert equal(image, theta_morphism(a2_div3, f))
+    assert image == theta_morphism(a2_div3, f)
     assert final == start  # β₁^{qk+1} is a loop on the word tuple
 
 
@@ -204,9 +219,9 @@ def test_necklace_multi_object_germ(rank2):
     bf = find_bestvina_form(rank2, cert)
     assert isinstance(bf, BestvinaForm)
     nc = necklace_conjugator(rank2, bf)
-    assert equal(
-        multiply(nc.divided.germ, nc.theta_image, nc.conjugator),
-        multiply(nc.divided.germ, nc.conjugator, nc.delta_power),
+    assert (
+        multiply(nc.divided.germ, nc.theta_image, nc.conjugator)
+        == multiply(nc.divided.germ, nc.conjugator, nc.delta_power)
     )
 
 
@@ -272,9 +287,9 @@ def test_dual_braid_half_twist_class(dual3):
     bf = find_bestvina_form(dual3, cert)
     assert isinstance(bf, BestvinaForm) and bf.k == 1
     nc = necklace_conjugator(dual3, bf)
-    assert equal(
-        multiply(nc.divided.germ, nc.theta_image, nc.conjugator),
-        multiply(nc.divided.germ, nc.conjugator, nc.delta_power),
+    assert (
+        multiply(nc.divided.germ, nc.theta_image, nc.conjugator)
+        == multiply(nc.divided.germ, nc.conjugator, nc.delta_power)
     )
 
 
@@ -300,9 +315,9 @@ def test_braid4_periodic_classes_both_structures(artin4):
     assert len(cl2.components) == 1 and len(cl2.components[0]) == 4
     bf2 = find_bestvina_form(d4, is_periodic(d4, cl2.representatives[0], 4, 3))
     nc2 = necklace_conjugator(d4, bf2)
-    assert equal(
-        multiply(nc2.divided.germ, nc2.theta_image, nc2.conjugator),
-        multiply(nc2.divided.germ, nc2.conjugator, nc2.delta_power),
+    assert (
+        multiply(nc2.divided.germ, nc2.theta_image, nc2.conjugator)
+        == multiply(nc2.divided.germ, nc2.conjugator, nc2.delta_power)
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from garside import Budget, BudgetExceeded, parse_germ, parse_word, validate
 from garside.conjugacy import ConjugacyWitness, FixedGermReport
 from garside.divided import DividedGerm, Ladder, SubdivisionIso
-from garside.germ import Automorphism, GermTable, ObjectRef, SimpleRef
+from garside.germ import GermTable, ObjectRef, SimpleRef
 from garside.nerve import CoverBall, CyclicReport, NerveSimplex, ZPolynomial
 from garside.periodic import (
     BestvinaForm,
@@ -18,7 +18,7 @@ from garside.periodic import (
     PeriodicClassification,
     PeriodicityCertificate,
 )
-from garside.words import NormalForm, PositiveWord
+from garside.words import NormalForm
 
 NF = NormalForm(0, (3, 4), -1)
 
@@ -28,8 +28,6 @@ RECORDS = [
     (SimpleRef, (3, "s", 0, 0, 1), ("id", "name", "source", "target", "length")),
     (GermTable, ([], [], {}, [], {}), ("objects", "simples", "product", "identity",
                                        "declared_delta")),
-    (Automorphism, ((0,), (0, 2, 1)), ("obj_map", "simple_map")),
-    (PositiveWord, (0, (3, 4)), ("source", "factors")),
     (NormalForm, (0, (3, 4), -1), ("source", "factors", "delta_exp")),
     (ConjugacyWitness, (NF, NF, NF), ("g", "c", "h")),
     (FixedGermReport, (None, {}, {}, [], {}), ("subgerm", "object_inclusion",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from garside import (
     GermError,
     NormalForm,
-    equal,
     format_word,
     identity_nf,
     invert,
@@ -20,7 +19,6 @@ from garside import (
     validate,
 )
 from garside.words import (
-    PositiveWord,
     delta_power_nf,
     is_greedy,
     is_loop,
@@ -70,9 +68,9 @@ def test_invert_examples(a2):
 
 def test_equal_examples(a2):
     s, t = a2.simple_named("s"), a2.simple_named("t")
-    assert equal(normal_form(a2, [s, t, s]), normal_form(a2, [t, s, t]))
-    assert equal(normal_form(a2, [s, s, t, s]), normal_form(a2, [s, t, s, t]))
-    assert not equal(normal_form(a2, [s]), normal_form(a2, [t]))
+    assert normal_form(a2, [s, t, s]) == normal_form(a2, [t, s, t])
+    assert normal_form(a2, [s, s, t, s]) == normal_form(a2, [s, t, s, t])
+    assert normal_form(a2, [s]) != normal_form(a2, [t])
 
 
 def test_phi_on_morphism_examples(a2):
@@ -161,13 +159,13 @@ def test_naturality_on_simples(a2):
         f = normal_form(a2, [s.id])
         lhs = multiply(a2, f, delta_power_nf(target(a2, f), 1))
         rhs = multiply(a2, delta_power_nf(f.source, 1), phi_on_morphism(a2, f, 1))
-        assert equal(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_positive_word_validation(a2):
+    # a positive word is a list or tuple of composable simple ids
     s = a2.simple_named("s")
-    w = PositiveWord(0, (s, s))
-    assert w.check(a2) is w
+    assert normal_form(a2, (s, s)) == normal_form(a2, [s, s]) == NormalForm(0, (s, s), 0)
 
 
 words_strategy = st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=7)
