@@ -12,11 +12,18 @@ the cyclic shift (f_1, ..., f_m) -> (f_2, ..., f_m, φ(f_1)).
 The construction is assembled as a plain germ table from ids and pushed
 through the full validator; a validation failure here means a bug, not bad
 input. Names (a subdivision prints as its factor tuple) serve display only.
+
+One evaluator, `slide`, reads a slide word as ladders: σ_i moves the first
+letter of slot i of a word tuple one slot left, and is the ladder with that
+letter as its only non-identity column. Θ_m(s) is ψ(β₁) for β₁ = σ_m…σ₁ read
+from (ε, ..., ε, s·s̄) over (1_x, ..., 1_x, Δ_x); the necklace conjugator of
+`periodic` is ψ(β₂) from the same object.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .germ import (
@@ -26,39 +33,12 @@ from .germ import (
     InternalError,
     as_budget,
     assemble_table,
+    enumerate_subdivisions,
     validate,
 )
-from .words import NormalForm, identity_nf, multiply, normal_form
+from .words import NormalForm, delta_power_nf, normal_form
 
 DividedObject = tuple[int, ...]
-
-
-def subdivisions_of(germ: GarsideGerm, oid: int, m: int) -> list[DividedObject]:
-    """All m-subdivisions of Δ at one object, in id-lexicographic order."""
-    out: list[DividedObject] = []
-    below_delta = germ.divisors[germ.delta[oid]]
-
-    def extend(prefix: list[int], done: int, rest: int) -> None:
-        # `done` is the product of the prefix; rest factors still to choose.
-        remainder = below_delta[done]
-        if rest == 1:
-            out.append(tuple(prefix + [remainder]))
-            return
-        for u in germ.divisors[remainder]:
-            step = germ.product_of(done, u)
-            if step is None:
-                raise InternalError("a divisor of the rest of delta does not extend the prefix")
-            extend(prefix + [u], step, rest - 1)
-
-    extend([], germ.identity[oid], m)
-    return sorted(out)
-
-
-def enumerate_subdivisions(germ: GarsideGerm, m: int) -> list[DividedObject]:
-    """All m-subdivisions of every Δ_x, in id-lexicographic order."""
-    if m < 1:
-        raise GermError("m must be a positive integer")
-    return sorted(f for o in germ.objects for f in subdivisions_of(germ, o.id, m))
 
 
 def count_subdivisions(germ: GarsideGerm, m: int) -> dict[int, int]:
@@ -230,39 +210,78 @@ def build_divided_germ(
     return dg
 
 
-# -- the functor Θ_m -------------------------------------------------------
+# -- slides and the functor Θ_m --------------------------------------------
+
+WordTuple = tuple[tuple[int, ...], ...]
+
+
+def slide(
+    dg: DividedGerm, src: DividedObject, words: WordTuple, slides: Iterable[int]
+) -> tuple[list[int], DividedObject, WordTuple]:
+    """
+    Evaluate a slide word through ψ from the object src, which the word tuple
+    subdivides. The slide σ_i moves the first letter a of word i to the end of
+    word i-1 (σ_1 moves φ(a) to the last word); it is the ladder with the
+    single non-identity column a in slot i. Returns the ladder ids, the final
+    object and the final word tuple.
+    """
+    base, m = dg.base, len(src)
+    words_t = [list(w) for w in words]
+    ladders = []
+    cur = src
+    for i in slides:
+        w = words_t[i - 1]
+        if not w:
+            raise InternalError(f"slide σ_{i} incompatible with the word tuple")
+        a = w.pop(0)
+        cols = tuple(
+            a if j == i - 1 else base.identity[base.simples[cur[j]].source] for j in range(m)
+        )
+        tgt = ladder_target(base, cur, cols)
+        if tgt is None:
+            raise InternalError("slide does not map to a ladder")
+        ladders.append(dg.ladder_simple(cur, cols))
+        cur = tgt
+        if i > 1:
+            words_t[i - 2].append(a)
+        else:
+            words_t[-1].append(base.phi_simple[a])
+    return ladders, cur, tuple(map(tuple, words_t))
+
+
+def ladder_nf(
+    dg: DividedGerm, src: DividedObject, ladders: list[int], shift: int = 0
+) -> NormalForm:
+    """Normal form of the ladder word·Δ^shift at src; a bare Δ-power for no ladders."""
+    if not ladders:
+        return delta_power_nf(dg.object_of(src), shift)
+    return normal_form(dg.germ, ladders, shift)
+
+
+def beta1_slides(q: int) -> list[int]:
+    """β₁ = σ_q σ_{q-1} ... σ₁."""
+    return list(range(q, 0, -1))
+
 
 def theta_object(germ: GarsideGerm, oid: int, m: int) -> DividedObject:
     """(1_x, ..., 1_x, Δ_x)."""
     return tuple([germ.identity[oid]] * (m - 1) + [germ.delta[oid]])
 
 
-def theta_simple(dg: DividedGerm, sid: int) -> NormalForm:
-    """
-    Θ_m of a base simple: slide the column holding s from the Δ slot leftward
-    one place per step; every intermediate row must be a valid ladder.
-    """
+def _theta_ladders(dg: DividedGerm, sid: int) -> list[int]:
+    """β₁ on the word tuple (ε, ..., ε, s·s̄) over (1_x, ..., 1_x, Δ_x)."""
     base, m = dg.base, dg.m
     s = base.simples[sid]
-    cur = theta_object(base, s.source, m)
-    res = identity_nf(dg.object_of(cur))
-    for step in range(m):
-        pos = m - 1 - step
-        cols = tuple(
-            sid if i == pos else base.identity[base.simples[cur[i]].source]
-            for i in range(m)
-        )
-        tgt = ladder_target(base, cur, cols)
-        if tgt is None:
-            raise InternalError("theta slide produced an invalid ladder")
-        lsid = dg.ladder_simple(cur, cols)
-        res = multiply(
-            dg.germ, res, normal_form(dg.germ, [lsid])
-        )
-        cur = tgt
-    if cur != theta_object(base, s.target, m):
+    words = ((),) * (m - 1) + ((sid, base.complement(sid)),)
+    ladders, end, _ = slide(dg, theta_object(base, s.source, m), words, beta1_slides(m))
+    if end != theta_object(base, s.target, m):
         raise InternalError("theta did not land on the expected object")
-    return res
+    return ladders
+
+
+def theta_simple(dg: DividedGerm, sid: int) -> NormalForm:
+    """Θ_m of a base simple s: ψ(β₁) read from (ε, ..., ε, s·s̄)."""
+    return normal_form(dg.germ, _theta_ladders(dg, sid))
 
 
 def theta_morphism(dg: DividedGerm, f: NormalForm) -> NormalForm:
@@ -270,10 +289,9 @@ def theta_morphism(dg: DividedGerm, f: NormalForm) -> NormalForm:
     Multiplicative extension of Θ_m over factors and Δ-powers. Every step of
     the slide of Δ_x is the shift ladder, so Θ_m(Δ^k) = Δ_m^{mk}.
     """
-    res = identity_nf(dg.object_of(theta_object(dg.base, f.source, dg.m)))
-    for sid in f.factors:
-        res = multiply(dg.germ, res, theta_simple(dg, sid))
-    return NormalForm(res.source, res.factors, res.delta_exp + dg.m * f.delta_exp)
+    ladders = [lid for sid in f.factors for lid in _theta_ladders(dg, sid)]
+    src = theta_object(dg.base, f.source, dg.m)
+    return ladder_nf(dg, src, ladders, dg.m * f.delta_exp)
 
 
 # -- the subdivision isomorphism D_eq(C) ≅ D_e(C_q) ------------------------
@@ -286,24 +304,17 @@ class SubdivisionIso(NamedTuple):
     iterated: DividedGerm            # (C_q)_e
     object_map: dict[int, int]       # C_{eq} object id -> (C_q)_e object id
     simple_map: dict[int, int]       # C_{eq} simple id -> (C_q)_e simple id
-    fixed_check: str = "skipped"     # the p=1 fixed-subgerm comparison outcome
+    fixed_check: str = "skipped"     # the p = q+1 fixed-subgerm comparison outcome
 
 
 def _regroup_object(dg_q: DividedGerm, f: DividedObject, e: int, q: int) -> DividedObject:
     """Group an eq-subdivision into an e-tuple of C_q ladder ids."""
     base = dg_q.base
-    blocks = []
-    for i in range(q):
-        seg = f[i * e : (i + 1) * e]
-        prod = seg[0]
-        for s in seg[1:]:
-            prod = base.product_of(prod, s)
-            if prod is None:
-                raise InternalError("a block of a subdivision does not multiply out")
-        blocks.append(prod)
-    src = tuple(blocks)
+    blocks = [base.fold_product(f[i * e], f[i * e + 1 : (i + 1) * e]) for i in range(q)]
+    if None in blocks:
+        raise InternalError("a block of a subdivision does not multiply out")
     out = []
-    cur = src
+    cur = tuple(blocks)
     for r in range(e):
         cols = tuple(f[i * e + r] for i in range(q))
         sid = dg_q.ladder_simple(cur, cols)
@@ -367,11 +378,13 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
         simple_map[sid] = image
     _check_isomorphism(dg_eq.germ, dg_it.germ, object_map, simple_map, "regrouping")
 
-    # Opportunistic p=1 check of the fixed-subgerm refinement
-    # C_{eq}^{φ_{eq}^e} ≅ (C_q^{φ_q})_e, when both sides are non-empty: the
-    # regrouping, read through the two fixed-subgerm inclusions, is the map.
-    left = fixed_subgerm(dg_eq.germ, e)
-    right_base = fixed_subgerm(dg_q.germ, 1)
+    # Check of the fixed-subgerm refinement C_{eq}^{φ_{eq}^{ep}} ≅
+    # (C_q^{φ_q^p})_e at p = q+1, the power of the s·Δ loops of the paper,
+    # when both sides are non-empty: the regrouping, read through the two
+    # fixed-subgerm inclusions, is the map.
+    p = q + 1
+    left = fixed_subgerm(dg_eq.germ, e * p)
+    right_base = fixed_subgerm(dg_q.germ, p)
     if left.is_empty or right_base.is_empty:
         fixed_check = "skipped (empty fixed subgerm)"
     else:

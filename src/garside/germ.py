@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from typing import NamedTuple
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_'@(),-]+$")
@@ -366,6 +367,14 @@ class GarsideGerm:
     def product_of(self, a: int, b: int) -> int | None:
         return self.product.get((a, b))
 
+    def fold_product(self, a: int, word: Iterable[int]) -> int | None:
+        """The simple a·w_1·...·w_n, or None once a partial product is undefined."""
+        for b in word:
+            a = self.product.get((a, b))
+            if a is None:
+                return None
+        return a
+
     def left_divides(self, a: int, b: int) -> bool:
         if self.simples[a].source != self.simples[b].source:
             raise GermError(
@@ -652,3 +661,31 @@ def components(germ: GarsideGerm) -> list[list[int]]:
     for oid in range(len(germ.objects)):
         groups.setdefault(find(oid), []).append(oid)
     return sorted(sorted(g) for g in groups.values())
+
+
+def subdivisions_of(germ: GarsideGerm, oid: int, m: int) -> list[tuple[int, ...]]:
+    """All m-subdivisions of Δ at one object, in id-lexicographic order."""
+    out: list[tuple[int, ...]] = []
+    below_delta = germ.divisors[germ.delta[oid]]
+
+    def extend(prefix: list[int], done: int, rest: int) -> None:
+        # `done` is the product of the prefix; rest factors still to choose.
+        remainder = below_delta[done]
+        if rest == 1:
+            out.append(tuple(prefix + [remainder]))
+            return
+        for u in germ.divisors[remainder]:
+            step = germ.product_of(done, u)
+            if step is None:
+                raise InternalError("a divisor of the rest of delta does not extend the prefix")
+            extend(prefix + [u], step, rest - 1)
+
+    extend([], germ.identity[oid], m)
+    return sorted(out)
+
+
+def enumerate_subdivisions(germ: GarsideGerm, m: int) -> list[tuple[int, ...]]:
+    """All m-subdivisions of every Δ_x, in id-lexicographic order."""
+    if m < 1:
+        raise GermError("m must be a positive integer")
+    return sorted(f for o in germ.objects for f in subdivisions_of(germ, o.id, m))

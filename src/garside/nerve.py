@@ -4,8 +4,10 @@ nerve: combinatorics of the Garside nerve.
 Simplices are composable tuples (f_1, ..., f_n) of simples whose product
 left-divides Δ at the basepoint; since every simple at an object divides Δ
 there, a tuple is a simplex exactly when all its partial products are defined
-in the germ. Nondegenerate simplices have no identity factor and biject with
-strict chains 1 < u_1 < ... < u_n ≤ Δ.
+in the germ. The unique factor completing the product to Δ makes the
+n-simplices the (n+1)-subdivisions of Δ without their last factor, and they
+are enumerated so. Nondegenerate simplices have no identity factor and
+biject with strict chains 1 < u_1 < ... < u_n ≤ Δ.
 
 Also here: the special degeneracy (complete the product to Δ) and first face
 operators with their cyclic-shift identities, the Newton polynomial fit of
@@ -17,7 +19,7 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .germ import GarsideGerm, GermError
+from .germ import GarsideGerm, GermError, enumerate_subdivisions
 from .words import NormalForm, format_word, identity_nf, multiply, target
 
 if TYPE_CHECKING:  # imported by fit_z_polynomial, so only zpoly requests load it
@@ -27,16 +29,6 @@ if TYPE_CHECKING:  # imported by fit_z_polynomial, so only zpoly requests load i
 class NerveSimplex(NamedTuple):
     basepoint: int
     factors: tuple[int, ...]
-
-
-def _fold_product(germ: GarsideGerm, basepoint: int, factors: tuple[int, ...]) -> int:
-    prod = germ.identity[basepoint]
-    for sid in factors:
-        nxt = germ.product_of(prod, sid)
-        if nxt is None:
-            raise GermError("tuple is not a nerve simplex (product escapes the simples)")
-        prod = nxt
-    return prod
 
 
 def garside_dimension(germ: GarsideGerm) -> int:
@@ -53,19 +45,13 @@ def garside_dimension(germ: GarsideGerm) -> int:
 
 def enumerate_simplices(germ: GarsideGerm, n: int) -> list[NerveSimplex]:
     """All n-simplices of the Garside nerve (identity factors allowed)."""
-    out: list[NerveSimplex] = []
-    for obj in germ.objects:
-        def extend(prefix: list[int], prod: int) -> None:
-            if len(prefix) == n:
-                out.append(NerveSimplex(obj.id, tuple(prefix)))
-                return
-            for sid in germ.by_source[germ.simples[prod].target]:
-                nxt = germ.product_of(prod, sid)
-                if nxt is not None:
-                    extend(prefix + [sid], nxt)
-
-        extend([], germ.identity[obj.id])
-    return sorted(out, key=lambda sx: (sx.basepoint, sx.factors))
+    if n < 0:
+        raise GermError("dimension must be non-negative")
+    simplices = [
+        NerveSimplex(germ.simples[f[0]].source, f[:-1])
+        for f in enumerate_subdivisions(germ, n + 1)
+    ]
+    return sorted(simplices, key=lambda sx: (sx.basepoint, sx.factors))
 
 
 def enumerate_nondegenerate(germ: GarsideGerm, n: int) -> list[NerveSimplex]:
@@ -79,7 +65,9 @@ def enumerate_nondegenerate(germ: GarsideGerm, n: int) -> list[NerveSimplex]:
 
 def special_degeneracy(germ: GarsideGerm, sx: NerveSimplex) -> NerveSimplex:
     """Append the unique factor completing the product to Δ at the basepoint."""
-    prod = _fold_product(germ, sx.basepoint, sx.factors)
+    prod = germ.fold_product(germ.identity[sx.basepoint], sx.factors)
+    if prod is None:
+        raise GermError("tuple is not a nerve simplex (product escapes the simples)")
     last = germ.quotient(prod, germ.delta[sx.basepoint])
     return NerveSimplex(sx.basepoint, sx.factors + (last,))
 
@@ -115,8 +103,7 @@ def check_cyclic_identities(germ: GarsideGerm, up_to_dim: int) -> CyclicReport:
         for sx in enumerate_simplices(germ, n):
             checked += 1
             if n >= 1:
-                prod = _fold_product(germ, sx.basepoint, sx.factors)
-                if germ.is_delta(prod):
+                if germ.is_delta(germ.fold_product(germ.identity[sx.basepoint], sx.factors)):
                     got = special_degeneracy(germ, face_zero(germ, sx))
                     want = NerveSimplex(
                         germ.simples[sx.factors[0]].target,

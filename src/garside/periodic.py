@@ -9,9 +9,11 @@ set for canonical length ≤ 1 and report an explicit failure value otherwise.
 
 The conjugator realizing Θ_q(sΔ^k) ~ Δ_q^p is built from the necklace slide
 word β₂ = (σ_q…σ₂)(σ_q…σ₃)…(σ_q): slides act on q-tuples of words over the
-twisted letters s^{φ^j}, and each compatible slide maps to the ladder of the
-q-divided germ with a single non-identity column. The conjugation equation is
-re-verified by normal-form equality before anything is returned.
+twisted letters s^{φ^j}, and `divided.slide` maps each to the ladder of the
+q-divided germ with a single non-identity column. β₂ starts where Θ_q(s)
+does, at (1_x, ..., 1_x, Δ_x) with the word tuple (ε, ..., ε, s₁...s_q), for
+Θ_q(s) is ψ(β₁) read from there. The conjugation equation is re-verified by
+normal-form equality before anything is returned.
 """
 
 from __future__ import annotations
@@ -19,15 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .germ import Budget, GarsideGerm, GermError, InternalError, as_budget
-from .words import (
-    NormalForm,
-    as_loop,
-    delta_power_nf,
-    identity_nf,
-    multiply,
-    normal_form,
-    target,
-)
+from .words import NormalForm, as_loop, delta_power_nf, multiply, normal_form
 
 if TYPE_CHECKING:  # imported where used, so a periodicity test loads neither module
     from .conjugacy import FixedGermReport
@@ -89,12 +83,9 @@ def check_bestvina(germ: GarsideGerm, bf: BestvinaForm, p: int) -> None:
     if p != bf.q * bf.k + 1:
         raise GermError("Bestvina form violates p = qk+1")
     letters = bf.twisted_letters(germ)
-    prod = letters[0]
-    for sid in letters[1:]:
-        nxt = germ.product_of(prod, sid)
-        if nxt is None:
-            raise GermError("Bestvina product is undefined")
-        prod = nxt
+    prod = germ.fold_product(letters[0], letters[1:])
+    if prod is None:
+        raise GermError("Bestvina product is undefined")
     if not germ.is_delta(prod):
         raise GermError("Bestvina product does not equal delta")
 
@@ -161,80 +152,6 @@ def beta2_slides(q: int) -> list[int]:
     return out
 
 
-def beta1_slides(q: int) -> list[int]:
-    """β₁ = σ_q σ_{q-1} ... σ₁."""
-    return list(range(q, 0, -1))
-
-
-def apply_slides(
-    germ: GarsideGerm,
-    dg: DividedGerm,
-    word_tuple: list[list[int]],
-    slides: list[int],
-) -> tuple[NormalForm, list[list[int]]]:
-    """
-    Evaluate a slide word through ψ: each compatible slide becomes the ladder
-    with a single non-identity column. Returns (ψ-image, final word tuple).
-    """
-    from .divided import ladder_target
-    q = len(word_tuple)
-    words_t = [list(w) for w in word_tuple]
-
-    def evaluate() -> DividedObject:
-        out = []
-        for i, w in enumerate(words_t):
-            if not w:
-                # empty word at the source of the following letters
-                oid = _tuple_object_at(germ, words_t, i)
-                out.append(germ.identity[oid])
-                continue
-            prod = w[0]
-            for sid in w[1:]:
-                nxt = germ.product_of(prod, sid)
-                if nxt is None:
-                    raise GermError("slide word does not evaluate to a simple")
-                prod = nxt
-            out.append(prod)
-        return tuple(out)
-
-    src = evaluate()
-    res = identity_nf(dg.object_of(src))
-    for i in slides:
-        w = words_t[i - 1]
-        if not w:
-            raise InternalError(f"slide σ_{i} incompatible with the word tuple")
-        a = w[0]
-        cur = evaluate()
-        cols = tuple(
-            a if j == i - 1 else germ.identity[germ.simples[cur[j]].source]
-            for j in range(q)
-        )
-        if ladder_target(germ, cur, cols) is None:
-            raise InternalError("slide does not map to a ladder")
-        sid = dg.ladder_simple(cur, cols)
-        res = multiply(dg.germ, res, normal_form(dg.germ, [sid]))
-        del w[0]
-        if i > 1:
-            words_t[i - 2].append(a)
-        else:
-            words_t[q - 1].append(germ.phi_simple[a])
-    return res, words_t
-
-
-def _tuple_object_at(germ: GarsideGerm, words_t: list[list[int]], i: int) -> int:
-    """Source object of slot i in a word tuple; scan forward for a letter."""
-    q = len(words_t)
-    for j in range(i, q):
-        if words_t[j]:
-            return germ.simples[words_t[j][0]].source
-    for j in range(0, i):
-        if words_t[j]:
-            # slot i lies past every letter, at the target of the full
-            # product Δ_{x_1}, which is the φ-image of the start object
-            return germ.phi_obj[germ.simples[words_t[j][0]].source]
-    raise GermError("empty word tuple has no anchor object")
-
-
 class NecklaceConjugation(NamedTuple):
     bf: BestvinaForm
     divided: DividedGerm
@@ -252,21 +169,20 @@ def necklace_conjugator(
     Build c = ψ(β₂) from (ε, ..., ε, s₁...s_q) and verify
     Θ_q(sΔ^k)·c = c·Δ_q^p by normal-form equality.
     """
-    from .divided import build_divided_germ, theta_morphism, theta_object
+    from .divided import build_divided_germ, ladder_nf, slide, theta_morphism, theta_object
     q = bf.q
     p = q * bf.k + 1
     if dg is None:
         dg = build_divided_germ(germ, q)
-    letters = list(bf.twisted_letters(germ))
-    start = [[] for _ in range(q - 1)] + [list(letters)]
-    c, final = apply_slides(germ, dg, start, beta2_slides(q))
-    if final != [[sid] for sid in letters]:
+    letters = bf.twisted_letters(germ)
+    start = theta_object(germ, germ.simples[bf.s].source, q)
+    ladders, end, final = slide(dg, start, ((),) * (q - 1) + (letters,), beta2_slides(q))
+    if final != tuple((sid,) for sid in letters):
         raise InternalError("slide word did not end at the letter tuple")
     under = bestvina_object(germ, bf)
-    if dg.objects[c.source] != theta_object(germ, germ.simples[bf.s].source, q):
-        raise GermError("conjugator does not start at the theta object")
-    if dg.objects[target(dg.germ, c)] != under:
+    if end != under:
         raise GermError("conjugator does not end at the Bestvina object")
+    c = ladder_nf(dg, start, ladders)
 
     gamma = normal_form(germ, [bf.s], bf.k)
     theta = theta_morphism(dg, gamma)
@@ -282,12 +198,12 @@ def psi_of_beta1(
     germ: GarsideGerm, bf: BestvinaForm, dg: DividedGerm | None = None
 ) -> NormalForm:
     """ψ(β₁) based at the letter tuple; normalizes to one Garside map Δ_q."""
-    from .divided import build_divided_germ
+    from .divided import beta1_slides, build_divided_germ, slide
     if dg is None:
         dg = build_divided_germ(germ, bf.q)
-    start = [[sid] for sid in bf.twisted_letters(germ)]
-    res, _ = apply_slides(germ, dg, start, beta1_slides(bf.q))
-    return res
+    letters = bf.twisted_letters(germ)
+    ladders, _, _ = slide(dg, letters, tuple((sid,) for sid in letters), beta1_slides(bf.q))
+    return normal_form(dg.germ, ladders)
 
 
 # -- classification ---------------------------------------------------------

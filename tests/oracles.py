@@ -8,7 +8,7 @@ from itertools import product as cartesian
 
 from typing import NamedTuple
 
-from garside import NormalForm, invert, multiply, power
+from garside import NormalForm, invert, multiply, normal_form, power
 from garside.conjugacy import FixedGermReport
 from garside.germ import (
     BudgetExceeded,
@@ -715,3 +715,117 @@ def germ_isomorphism(g1: GarsideGerm, g2: GarsideGerm) -> dict[int, int] | None:
     if backtrack(0):
         return dict(smap)
     return None
+
+
+# -- the slide loops `divided.slide` replaced ----------------------------------
+
+def reference_theta_simple(dg, sid: int) -> NormalForm:
+    """
+    Θ_m of a base simple: slide the column holding s from the Δ slot leftward
+    one place per step, one product per ladder.
+    """
+    from garside.divided import ladder_target, theta_object
+
+    base, m = dg.base, dg.m
+    s = base.simples[sid]
+    cur = theta_object(base, s.source, m)
+    res = identity_nf(dg.object_of(cur))
+    for pos in range(m - 1, -1, -1):
+        cols = tuple(
+            sid if i == pos else base.identity[base.simples[cur[i]].source] for i in range(m)
+        )
+        tgt = ladder_target(base, cur, cols)
+        if tgt is None:
+            raise InternalError("theta slide produced an invalid ladder")
+        res = multiply(dg.germ, res, normal_form(dg.germ, [dg.ladder_simple(cur, cols)]))
+        cur = tgt
+    if cur != theta_object(base, s.target, m):
+        raise InternalError("theta did not land on the expected object")
+    return res
+
+
+def reference_theta_morphism(dg, f: NormalForm) -> NormalForm:
+    """Θ_m as one product per factor, with Θ_m(Δ^k) = Δ_m^{mk}."""
+    from garside.divided import theta_object
+
+    res = identity_nf(dg.object_of(theta_object(dg.base, f.source, dg.m)))
+    for sid in f.factors:
+        res = multiply(dg.germ, res, reference_theta_simple(dg, sid))
+    return NormalForm(res.source, res.factors, res.delta_exp + dg.m * f.delta_exp)
+
+
+def _tuple_object_at(germ, words_t: list[list[int]], i: int) -> int:
+    """Source object of slot i in a word tuple; scan forward for a letter."""
+    q = len(words_t)
+    for j in range(i, q):
+        if words_t[j]:
+            return germ.simples[words_t[j][0]].source
+    for j in range(0, i):
+        if words_t[j]:
+            # past every letter: the target of Δ at the start object
+            return germ.phi_obj[germ.simples[words_t[j][0]].source]
+    raise GermError("empty word tuple has no anchor object")
+
+
+def reference_apply_slides(germ, dg, word_tuple, slides) -> tuple[NormalForm, list[list[int]]]:
+    """
+    A slide word through ψ, re-evaluating every slot of the word tuple before
+    each slide. Returns (ψ-image, final word tuple).
+    """
+    from garside.divided import ladder_target
+
+    q = len(word_tuple)
+    words_t = [list(w) for w in word_tuple]
+
+    def evaluate() -> tuple[int, ...]:
+        out = []
+        for i, w in enumerate(words_t):
+            if not w:
+                out.append(germ.identity[_tuple_object_at(germ, words_t, i)])
+                continue
+            prod = w[0]
+            for sid in w[1:]:
+                prod = germ.product.get((prod, sid))
+                if prod is None:
+                    raise GermError("slide word does not evaluate to a simple")
+            out.append(prod)
+        return tuple(out)
+
+    res = identity_nf(dg.object_of(evaluate()))
+    for i in slides:
+        w = words_t[i - 1]
+        if not w:
+            raise InternalError(f"slide σ_{i} incompatible with the word tuple")
+        a = w[0]
+        cur = evaluate()
+        cols = tuple(
+            a if j == i - 1 else germ.identity[germ.simples[cur[j]].source] for j in range(q)
+        )
+        if ladder_target(germ, cur, cols) is None:
+            raise InternalError("slide does not map to a ladder")
+        res = multiply(dg.germ, res, normal_form(dg.germ, [dg.ladder_simple(cur, cols)]))
+        del w[0]
+        if i > 1:
+            words_t[i - 2].append(a)
+        else:
+            words_t[q - 1].append(germ.phi_simple[a])
+    return res, words_t
+
+
+# -- the nerve walk that subdivisions replaced ---------------------------------
+
+def walk_simplices(germ, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(basepoint, factors) of every n-simplex: tuples whose partial products are defined."""
+    out = []
+    for obj in germ.objects:
+        def extend(prefix: list[int], prod: int) -> None:
+            if len(prefix) == n:
+                out.append((obj.id, tuple(prefix)))
+                return
+            for sid in germ.by_source[germ.simples[prod].target]:
+                nxt = germ.product.get((prod, sid))
+                if nxt is not None:
+                    extend(prefix + [sid], nxt)
+
+        extend([], germ.identity[obj.id])
+    return sorted(out)

@@ -31,6 +31,11 @@ CASES = {
     "validate": (["validate", "--file", A2], {"garside.nerve"}),
     "summit": (["summit", "--file", A2, "--word", "s t t"], {"garside.conjugacy"}),
     "divide": (["divide", "--file", A2, "--m", "2"], {"garside.divided"}),
+    "theta": (["theta", "--file", A2, "--word", "s t", "--m", "3"], {"garside.divided"}),
+    "classify": (
+        ["classify", "--file", A2, "--p", "4", "--q", "3"],
+        {"garside.conjugacy", "garside.divided", "garside.periodic"},
+    ),
     "periodic": (
         ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"],
         {"garside.conjugacy", "garside.divided", "garside.periodic"},

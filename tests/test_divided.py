@@ -261,24 +261,26 @@ def test_subdivision_iso_identity_case(a2):
 
 
 def test_subdivision_iso_fixed_subgerm_check(a2):
-    # φ_2^2-fixed part of C_2 matches the 2-divided germ of A_2^φ
-    iso = subdivision_iso(a2, 2, 1)
-    assert iso.fixed_check == "verified"
-    iso2 = subdivision_iso(a2, 2, 3)
-    assert iso2.fixed_check.startswith("skipped")
+    # The check runs at p = q+1: the φ_2^4-fixed part of C_2 matches the
+    # 2-divided germ of A_2^{φ^2} = A_2, and the φ_6^8-fixed part of C_6 the
+    # 2-divided germ of C_3^{φ_3^4}, which holds the 4/3-periodic loops.
+    assert subdivision_iso(a2, 2, 1).fixed_check == "verified"
+    assert subdivision_iso(a2, 2, 3).fixed_check == "verified"
+    # no s·Δ loop of A_2 is 3/2-periodic, so φ_2^3 fixes no object of C_2
+    assert subdivision_iso(a2, 2, 2).fixed_check == "skipped (empty fixed subgerm)"
 
 
 @pytest.mark.parametrize("base,top", [("a2", 3), ("dual3", 2)])
 def test_subdivision_iso_fixed_check_agrees_with_isomorphism_search(request, base, top):
-    # The explicit regrouping map verifies C_{eq}^{φ_{eq}^e} ≅ (C_q^{φ_q})_e
-    # exactly when the backtracking search finds an isomorphism.
+    # The explicit regrouping map verifies C_{eq}^{φ_{eq}^{ep}} ≅ (C_q^{φ_q^p})_e
+    # at p = q+1 exactly when the backtracking search finds an isomorphism.
     germ = request.getfixturevalue(base)
     verified = 0
     for e in range(1, top + 1):
         for q in range(1, top + 1):
             iso = subdivision_iso(germ, e, q)
-            left = fixed_subgerm(iso.eq_divided.germ, e)
-            right_base = fixed_subgerm(iso.q_divided.germ, 1)
+            left = fixed_subgerm(iso.eq_divided.germ, e * (q + 1))
+            right_base = fixed_subgerm(iso.q_divided.germ, q + 1)
             if left.is_empty or right_base.is_empty:
                 assert iso.fixed_check == "skipped (empty fixed subgerm)"
                 continue
@@ -286,7 +288,8 @@ def test_subdivision_iso_fixed_check_agrees_with_isomorphism_search(request, bas
             assert oracles.germ_isomorphism(left.subgerm, right.germ) is not None
             assert iso.fixed_check == "verified"
             verified += 1
-    assert verified == top
+    # a2: q = 1 and q = 3 for every e; dual3: q = 1 and q = 2
+    assert verified == {"a2": 6, "dual3": 4}[base]
 
 
 def test_enumerate_matches_count_on_builtins(dual3, chamber3):

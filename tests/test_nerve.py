@@ -5,8 +5,8 @@ import pytest
 
 from garside import builtins as germ_builtins
 from garside import parse_germ, validate
-from garside.divided import count_subdivisions, enumerate_subdivisions
-from garside.germ import GermError
+from garside.divided import count_subdivisions
+from garside.germ import GermError, enumerate_subdivisions
 from garside.nerve import (
     NerveSimplex,
     ZPolynomial,
@@ -157,6 +157,8 @@ def test_cyclic_identities(germ_name, request):
 def test_cyclic_identities_need_a_non_negative_dimension(a2):
     with pytest.raises(GermError, match="dimension must be non-negative"):
         check_cyclic_identities(a2, -1)
+    with pytest.raises(GermError, match="dimension must be non-negative"):
+        enumerate_simplices(a2, -1)
     assert check_cyclic_identities(a2, 0).checked == 1
 
 

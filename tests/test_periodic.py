@@ -4,12 +4,11 @@ from hypothesis import strategies as st
 
 from garside import multiply, normal_form, parse_word, power
 from garside import periodic
-from garside.divided import theta_morphism, theta_object
+from garside.divided import beta1_slides, ladder_nf, slide, theta_morphism, theta_object
 from garside.germ import Budget, BudgetExceeded, GermError
 from garside.periodic import (
     BestvinaForm,
     NoLengthOneRepresentative,
-    beta1_slides,
     beta2_slides,
     bestvina_object,
     centralizer_germ,
@@ -192,15 +191,13 @@ def test_necklace_trivial_q1(a2):
 
 def test_theta_equals_beta1_power(a2, a2_div3):
     # Θ_q(sΔ^k) = ψ(β₁^{qk+1}) interpreted from (ε, ε, s₁s₂s₃)
-    from garside.divided import theta_morphism
-    from garside.periodic import apply_slides
-
     f = parse_word(a2, "s D^1")
     bf = find_bestvina_form(a2, is_periodic(a2, f, 4, 3))
-    start = [[], [], list(bf.twisted_letters(a2))]
-    image, final = apply_slides(a2, a2_div3, start, beta1_slides(3) * 4)
-    assert image == theta_morphism(a2_div3, f)
-    assert final == start  # β₁^{qk+1} is a loop on the word tuple
+    src = theta_object(a2, f.source, 3)
+    start = ((), (), bf.twisted_letters(a2))
+    ladders, end, final = slide(a2_div3, src, start, beta1_slides(3) * 4)
+    assert ladder_nf(a2_div3, src, ladders) == theta_morphism(a2_div3, f)
+    assert (end, final) == (src, start)  # β₁^{qk+1} is a loop on the word tuple
 
 
 def test_psi_beta1_is_garside_map(a2, a2_div3):
