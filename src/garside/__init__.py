@@ -23,7 +23,6 @@ from .words import (
     multiply,
     normal_form,
     parse_word,
-    phi_on_morphism,
     power,
 )
 

@@ -324,7 +324,7 @@ COMMANDS = {
     "nerve": (
         cmd_nerve, "nondegenerate simplex counts and cyclic identities", 0, ["--dim", "--out"],
     ),
-    "zpoly": (cmd_zpoly, "fit the subdivision-counting polynomial", 0, ["--samples"]),
+    "zpoly": (cmd_zpoly, "subdivision-counting polynomial from strict chains", 0, ["--samples"]),
     "cover": (
         cmd_cover, "bounded ball of the universal cover, DOT export", 0,
         ["--source", "--radius", "--out"],

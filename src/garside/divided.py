@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
+from math import comb
 from typing import NamedTuple
 
 from .germ import (
@@ -33,6 +34,7 @@ from .germ import (
     InternalError,
     as_budget,
     assemble_table,
+    chain_counts,
     enumerate_subdivisions,
     validate,
 )
@@ -43,25 +45,16 @@ DividedObject = tuple[int, ...]
 
 def count_subdivisions(germ: GarsideGerm, m: int) -> dict[int, int]:
     """
-    |D_m| per object via multichain counting in (S_{x->}, ≤):
-    an m-subdivision at x is an (m-1)-multichain 1 ≤ u_1 ≤ ... ≤ u_{m-1} ≤ Δ_x.
+    |D_m| per object: an m-subdivision is a multichain 1 ≼ u_1 ≼ ... ≼ u_{m-1}
+    ≼ Δ_x, and C(m-1, n) of them run through a given strict chain of n
+    non-identity steps. So |D_m| = Σ_n N_n·C(m-1, n), in O(dim) for any m.
     """
     if m < 1:
         raise GermError("m must be a positive integer")
-    counts: dict[int, int] = {}
-    for obj in germ.objects:
-        # chains[u] = number of multichains of the current depth ending at u
-        chains = {germ.identity[obj.id]: 1}
-        below_delta = germ.divisors[germ.delta[obj.id]]
-        for _ in range(m - 1):
-            nxt: dict[int, int] = {}
-            for u, n in chains.items():
-                for q in germ.divisors[below_delta[u]]:
-                    v = germ.product_of(u, q)
-                    nxt[v] = nxt.get(v, 0) + n
-            chains = nxt
-        counts[obj.id] = sum(chains.values())
-    return counts
+    return {
+        obj.id: sum(n * comb(m - 1, k) for k, n in enumerate(chain_counts(germ, obj.id)))
+        for obj in germ.objects
+    }
 
 
 def ladder_target(
@@ -88,9 +81,6 @@ class Ladder(NamedTuple):
     columns: tuple[int, ...]
     tgt: DividedObject
 
-    def diagonals(self, germ: GarsideGerm) -> tuple[int, ...]:
-        return tuple(germ.quotient(c, f) for c, f in zip(self.columns, self.src))
-
 
 def ladders_from(germ: GarsideGerm, src: DividedObject) -> list[Ladder]:
     """All ladders with the given source, in column-lexicographic order."""
@@ -107,12 +97,6 @@ def ladders_from(germ: GarsideGerm, src: DividedObject) -> list[Ladder]:
 
     extend([], 0)
     return out
-
-
-def ladders_between(
-    germ: GarsideGerm, f: DividedObject, g: DividedObject
-) -> list[Ladder]:
-    return [lad for lad in ladders_from(germ, f) if lad.tgt == g]
 
 
 def tuple_name(germ: GarsideGerm, f: tuple[int, ...]) -> str:
@@ -277,11 +261,6 @@ def _theta_ladders(dg: DividedGerm, sid: int) -> list[int]:
     if end != theta_object(base, s.target, m):
         raise InternalError("theta did not land on the expected object")
     return ladders
-
-
-def theta_simple(dg: DividedGerm, sid: int) -> NormalForm:
-    """Θ_m of a base simple s: ψ(β₁) read from (ε, ..., ε, s·s̄)."""
-    return normal_form(dg.germ, _theta_ladders(dg, sid))
 
 
 def theta_morphism(dg: DividedGerm, f: NormalForm) -> NormalForm:

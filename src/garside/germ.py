@@ -684,6 +684,27 @@ def subdivisions_of(germ: GarsideGerm, oid: int, m: int) -> list[tuple[int, ...]
     return sorted(out)
 
 
+def chain_counts(germ: GarsideGerm, oid: int) -> list[int]:
+    """
+    N_0, ..., N_d at one object: N_n strict chains 1 < u_1 < ... < u_n ≼ Δ_x
+    (nondegenerate n-simplices), grown by non-identity divisors of the rest
+    of Δ_x, so the frontier empties within dim rounds.
+    """
+    below_delta = germ.divisors[germ.delta[oid]]
+    frontier = {germ.identity[oid]: 1}     # chain end -> chains of this length
+    counts = []
+    while frontier:
+        counts.append(sum(frontier.values()))
+        nxt: dict[int, int] = {}
+        for u, n in frontier.items():
+            for q in germ.divisors[below_delta[u]]:
+                if germ.simples[q].length:
+                    v = germ.product[(u, q)]
+                    nxt[v] = nxt.get(v, 0) + n
+        frontier = nxt
+    return counts
+
+
 def enumerate_subdivisions(germ: GarsideGerm, m: int) -> list[tuple[int, ...]]:
     """All m-subdivisions of every Δ_x, in id-lexicographic order."""
     if m < 1:

@@ -10,20 +10,26 @@ are enumerated so. Nondegenerate simplices have no identity factor and
 biject with strict chains 1 < u_1 < ... < u_n ≤ Δ.
 
 Also here: the special degeneracy (complete the product to Δ) and first face
-operators with their cyclic-shift identities, the Newton polynomial fit of
-the subdivision counts, and the bounded universal-cover ball export.
+operators with their cyclic-shift identities, the counting polynomial
+Z(m) = |D_m| read off the nondegenerate simplex counts, and the bounded
+universal-cover ball export.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .germ import GarsideGerm, GermError, enumerate_subdivisions
+from .germ import (
+    GarsideGerm,
+    GermError,
+    InternalError,
+    as_budget,
+    chain_counts,
+    enumerate_subdivisions,
+)
 from .words import NormalForm, format_word, identity_nf, multiply, target
-
-if TYPE_CHECKING:  # imported by fit_z_polynomial, so only zpoly requests load it
-    from fractions import Fraction
 
 
 class NerveSimplex(NamedTuple):
@@ -123,50 +129,43 @@ def check_cyclic_identities(germ: GarsideGerm, up_to_dim: int) -> CyclicReport:
     return CyclicReport(checked, bad_shift, bad_power)
 
 
-class ZPolynomial(NamedTuple):
-    """Counting polynomial in the Newton basis: Z(m) = Σ c_j · C(m-1, j)."""
+class ZPolynomial:
+    """Z(m) = Σ_j c_j·C(m-1, j), in O(degree) per m however many zeros pad c."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients", "degree")
 
-    @property
-    def degree(self) -> int:
-        deg = -1
-        for j, c in enumerate(self.coefficients):
-            if c != 0:
-                deg = j
-        return deg
+    def __init__(self, coefficients: tuple[int, ...]):
+        self.coefficients = coefficients
+        self.degree = max((j for j, c in enumerate(coefficients) if c), default=-1)
 
-    def __call__(self, m: int) -> Fraction:
-        return sum(c * comb(m - 1, j) for j, c in enumerate(self.coefficients))
+    def __eq__(self, other):
+        return type(other) is ZPolynomial and self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
+
+    def __repr__(self) -> str:
+        return f"ZPolynomial(coefficients={self.coefficients!r})"
+
+    def __call__(self, m: int) -> int:
+        return sum(c * comb(m - 1, j) for j, c in enumerate(self.coefficients[: self.degree + 1]))
 
 
 def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
     """
-    Newton forward-difference interpolation of m -> |D_m| through m = 1..samples.
-    Verifies degree ≤ Garside dimension and two out-of-sample predictions.
+    Z(m) = |D_m|: coefficient n is Σ_x N_n(x) (`chain_counts`), padded with
+    zeros to `samples` terms, one default-budget step each. The degree must
+    be the Garside dimension, found by an independent divisor-DAG walk.
     """
-    from fractions import Fraction
-
-    from .divided import count_subdivisions
     dim = garside_dimension(germ)
     if samples < dim + 2:
         raise GermError(f"need at least dim+2 = {dim + 2} samples")
-    values = [sum(count_subdivisions(germ, m).values()) for m in range(1, samples + 1)]
-    row = [Fraction(v) for v in values]
-    coeffs = []
-    while row:
-        coeffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    z = ZPolynomial(tuple(coeffs))
-    if z.degree > dim:
-        raise GermError(
-            f"fitted degree {z.degree} exceeds the Garside dimension {dim}"
-        )
-    for m in (samples + 1, samples + 2):
-        direct = sum(count_subdivisions(germ, m).values())
-        if z(m) != direct:
-            raise GermError(f"polynomial prediction fails at m = {m}")
-    return z
+    as_budget(None).spend(samples, f": the polynomial would have {samples} coefficients")
+    per_object = [chain_counts(germ, obj.id) for obj in germ.objects]
+    totals = [sum(col) for col in zip_longest(*per_object, fillvalue=0)]
+    if germ.objects and len(totals) != dim + 1:
+        raise InternalError(f"strict chains of length {len(totals) - 1} in dimension {dim}")
+    return ZPolynomial(tuple(totals) + (0,) * (samples - len(totals)))
 
 
 # -- bounded universal-cover ball -------------------------------------------

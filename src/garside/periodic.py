@@ -194,18 +194,6 @@ def necklace_conjugator(
     return NecklaceConjugation(bf, dg, c, theta, dpow)
 
 
-def psi_of_beta1(
-    germ: GarsideGerm, bf: BestvinaForm, dg: DividedGerm | None = None
-) -> NormalForm:
-    """ψ(β₁) based at the letter tuple; normalizes to one Garside map Δ_q."""
-    from .divided import beta1_slides, build_divided_germ, slide
-    if dg is None:
-        dg = build_divided_germ(germ, bf.q)
-    letters = bf.twisted_letters(germ)
-    ladders, _, _ = slide(dg, letters, tuple((sid,) for sid in letters), beta1_slides(bf.q))
-    return normal_form(dg.germ, ladders)
-
-
 # -- classification ---------------------------------------------------------
 
 class PeriodicClassification(NamedTuple):

@@ -123,17 +123,6 @@ def normal_form(
     return _normalize(germ, source, list(word), delta_shift)
 
 
-def is_greedy(germ: GarsideGerm, f: NormalForm) -> bool:
-    """Factor-wise greedy invariant; used by tests and internal assertions."""
-    for sid in f.factors:
-        if germ.is_identity(sid) or germ.is_delta(sid):
-            return False
-    for a, b in zip(f.factors, f.factors[1:]):
-        if not germ.is_identity(germ.meet(germ.complement(a), b)):
-            return False
-    return True
-
-
 def multiply(germ: GarsideGerm, f: NormalForm, g: NormalForm) -> NormalForm:
     """Normal form of the composite f·g."""
     if target(germ, f) != g.source:
@@ -152,14 +141,6 @@ def invert(germ: GarsideGerm, f: NormalForm) -> NormalForm:
         piece = _normalize(germ, germ.simples[bar].source, [bar], -1)
         res = multiply(germ, res, piece)
     return res
-
-
-def phi_on_morphism(germ: GarsideGerm, f: NormalForm, n: int) -> NormalForm:
-    return NormalForm(
-        germ.phi_power_obj(f.source, n),
-        tuple(germ.phi_power(s, n) for s in f.factors),
-        f.delta_exp,
-    )
 
 
 def power(germ: GarsideGerm, f: NormalForm, n: int) -> NormalForm:

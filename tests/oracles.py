@@ -4,6 +4,7 @@ Everything here works straight off the product dict by exhaustive scanning.
 """
 
 import math
+from fractions import Fraction
 from itertools import product as cartesian
 
 from typing import NamedTuple
@@ -829,3 +830,106 @@ def walk_simplices(germ, n: int) -> list[tuple[int, tuple[int, ...]]]:
 
         extend([], germ.identity[obj.id])
     return sorted(out)
+
+
+# -- the subdivision counts that strict chains replaced -------------------------
+
+def walk_count_subdivisions(germ, m: int) -> dict[int, int]:
+    """
+    |D_m| per object via multichain counting in (S_{x->}, ≤): an
+    m-subdivision at x is an (m-1)-multichain 1 ≤ u_1 ≤ ... ≤ u_{m-1} ≤ Δ_x,
+    walked one step per u_i, identity steps included.
+    """
+    if m < 1:
+        raise GermError("m must be a positive integer")
+    counts: dict[int, int] = {}
+    for obj in germ.objects:
+        # chains[u] = number of multichains of the current depth ending at u
+        chains = {germ.identity[obj.id]: 1}
+        below_delta = germ.divisors[germ.delta[obj.id]]
+        for _ in range(m - 1):
+            nxt: dict[int, int] = {}
+            for u, n in chains.items():
+                for q in germ.divisors[below_delta[u]]:
+                    v = germ.product_of(u, q)
+                    nxt[v] = nxt.get(v, 0) + n
+            chains = nxt
+        counts[obj.id] = sum(chains.values())
+    return counts
+
+
+def newton_fit(germ, samples: int) -> tuple[Fraction, ...]:
+    """
+    Newton forward-difference interpolation of m -> |D_m| through
+    m = 1..samples, from the multichain walk. Checks degree ≤ Garside
+    dimension and two out-of-sample predictions, at samples + 1 and + 2.
+    """
+    dim = recursive_garside_dimension(germ)
+    if samples < dim + 2:
+        raise GermError(f"need at least dim+2 = {dim + 2} samples")
+    row = [Fraction(sum(walk_count_subdivisions(germ, m).values()))
+           for m in range(1, samples + 1)]
+    coeffs = []
+    while row:
+        coeffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    degree = max((j for j, c in enumerate(coeffs) if c), default=-1)
+    if degree > dim:
+        raise GermError(f"fitted degree {degree} exceeds the Garside dimension {dim}")
+    for m in (samples + 1, samples + 2):
+        predicted = sum(c * math.comb(m - 1, j) for j, c in enumerate(coeffs))
+        if predicted != sum(walk_count_subdivisions(germ, m).values()):
+            raise GermError(f"polynomial prediction fails at m = {m}")
+    return tuple(coeffs)
+
+
+# -- helpers only the tests call ------------------------------------------------
+
+def is_greedy(germ, f: NormalForm) -> bool:
+    """Factor-wise greedy invariant: no identity or Δ factor, and s̄_i ∧ s_{i+1} = 1."""
+    for sid in f.factors:
+        if germ.is_identity(sid) or germ.is_delta(sid):
+            return False
+    for a, b in zip(f.factors, f.factors[1:]):
+        if not germ.is_identity(germ.meet(germ.complement(a), b)):
+            return False
+    return True
+
+
+def phi_on_morphism(germ, f: NormalForm, n: int) -> NormalForm:
+    """φ^n applied factor by factor; the Δ-power is φ-invariant."""
+    return NormalForm(
+        germ.phi_power_obj(f.source, n),
+        tuple(germ.phi_power(s, n) for s in f.factors),
+        f.delta_exp,
+    )
+
+
+def diagonals(germ, lad) -> tuple[int, ...]:
+    """The diagonals quotient(s_i, f_i) of a ladder with columns s_i at the object f."""
+    return tuple(germ.quotient(c, f) for c, f in zip(lad.columns, lad.src))
+
+
+def theta_simple(dg, sid: int) -> NormalForm:
+    """Θ_m of one simple: `theta_morphism` of the one-letter word."""
+    from garside.divided import theta_morphism
+
+    return theta_morphism(dg, NormalForm(dg.base.simples[sid].source, (sid,), 0))
+
+
+def ladders_between(germ, f: tuple[int, ...], g: tuple[int, ...]) -> list:
+    """The ladders from the subdivision f to the subdivision g."""
+    from garside.divided import ladders_from
+
+    return [lad for lad in ladders_from(germ, f) if lad.tgt == g]
+
+
+def psi_of_beta1(germ, bf, dg=None) -> NormalForm:
+    """ψ(β₁) based at the letter tuple; normalizes to one Garside map Δ_q."""
+    from garside.divided import beta1_slides, build_divided_germ, slide
+
+    if dg is None:
+        dg = build_divided_germ(germ, bf.q)
+    letters = bf.twisted_letters(germ)
+    ladders, _, _ = slide(dg, letters, tuple((sid,) for sid in letters), beta1_slides(bf.q))
+    return normal_form(dg.germ, ladders)

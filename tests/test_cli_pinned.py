@@ -5,8 +5,9 @@ The divide, classify, periodic, theta, summit and centralizer files were
 captured from the CLI before divided and fixed germs were assembled from ids,
 so they also pin that the id layout matches the one the name-based route
 produced; the other files were captured before the parser was rebuilt from
-one table of flags per subcommand. The flags each subcommand accepts are
-pinned too.
+one table of flags per subcommand. The a2 `divide` cases with m = 10^5 and
+10^6 were captured from the m-step multichain walk that the strict-chain
+count replaced. The flags each subcommand accepts are pinned too.
 """
 
 import hashlib
@@ -81,6 +82,8 @@ CASES = {
     "isconj_dual4_no": (["isconj", *DUAL, "4", "--word", "2134", "--word", "2134 1324"], 4, None),
     "divide_chamber4_count": (["divide", *CHAMBER, "4", "--m", "3", "--count"], 0, None),
     "divide_artin6_m3_refused": (["divide", *ARTIN, "6", "--m", "3"], 3, None),
+    "divide_a2_m1000000_count": (["divide", "--file", A2, "--m", "1000000", "--count"], 0, None),
+    "divide_a2_m100000_refused": (["divide", "--file", A2, "--m", "100000"], 3, None),
     "periodic_a2_not_periodic": (
         ["periodic", "--file", A2, "--word", "s", "--p", "4", "--q", "3"], 4, None,
     ),

@@ -17,7 +17,6 @@ from garside.periodic import (
     find_bestvina_form,
     is_periodic,
     necklace_conjugator,
-    psi_of_beta1,
 )
 from garside.words import delta_power_nf
 
@@ -202,7 +201,7 @@ def test_theta_equals_beta1_power(a2, a2_div3):
 
 def test_psi_beta1_is_garside_map(a2, a2_div3):
     bf = find_bestvina_form(a2, is_periodic(a2, parse_word(a2, "s D^1"), 4, 3))
-    b1 = psi_of_beta1(a2, bf, a2_div3)
+    b1 = oracles.psi_of_beta1(a2, bf, a2_div3)
     assert b1.factors == () and b1.delta_exp == 1
     assert a2_div3.objects[b1.source] == tuple(
         a2.simple_named(n) for n in ("s", "t", "s")
