@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .germ import GarsideGerm, GermError, GermTable, make_table
-from .words import NormalForm, is_loop, left_divides_morphism, positive_elements_up_to
+from .germ import GermError, GermTable, make_table
 
 FAMILIES = ("artin_symmetric", "dual_braid", "dihedral_chamber", "rank2_counterexample")
 
@@ -180,35 +179,3 @@ def _need(family: str, param: int | None) -> int:
         raise GermError(f"builtin family {family!r} needs --param")
     return param
 
-
-def common_multiple_report(
-    germ: GarsideGerm, f: NormalForm, g: NormalForm, length_bound: int = 8
-) -> dict:
-    """
-    Bounded refutation of a least common right multiple: enumerate all
-    positive loops at the common source up to the length bound, collect the
-    common right multiples of f and g among them, and look for a least one.
-    """
-    if f.source != g.source:
-        raise GermError("common_multiple_report: source mismatch")
-    x = f.source
-    if not (is_loop(germ, f) and is_loop(germ, g)):
-        raise GermError("common_multiple_report expects loops")
-    loops = [
-        h for h in positive_elements_up_to(germ, x, length_bound)
-        if is_loop(germ, h)
-    ]
-    multiples = [
-        h for h in loops
-        if left_divides_morphism(germ, f, h) and left_divides_morphism(germ, g, h)
-    ]
-    least = [
-        h for h in multiples
-        if all(left_divides_morphism(germ, h, other) for other in multiples)
-    ]
-    return {
-        "bound": length_bound,
-        "loops_scanned": len(loops),
-        "common_multiples": multiples,
-        "least": least,
-    }

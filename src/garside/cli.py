@@ -201,7 +201,8 @@ def cmd_periodic(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     from . import divided
     under = divided.tuple_name(germ, periodic.bestvina_object(germ, bf))
     rep.add("bestvina_object", under, f"object: {under}")
-    nc = periodic.necklace_conjugator(germ, bf)
+    dg = divided.build_divided_germ(germ, bf.q, budget)
+    nc = periodic.necklace_conjugator(germ, bf, dg)
     rep.add("necklace_conjugator", words.format_word(nc.divided.germ, nc.conjugator))
     rep.add("conjugation", "verified", "conjugation verified")
     return EXIT_OK
@@ -237,12 +238,15 @@ def cmd_nerve(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     from . import nerve
     dim = nerve.garside_dimension(germ)
     top = args.dim if args.dim is not None else dim
-    counts = [len(nerve.enumerate_nondegenerate(germ, n)) for n in range(top + 1)]
+    # The check lists every simplex up to top, so it runs (and refuses a
+    # negative top) before the counts are padded with zeros up to top.
+    cyc = nerve.check_cyclic_identities(germ, top)
+    totals = nerve.nondegenerate_counts(germ)
+    counts = [totals[n] if n < len(totals) else 0 for n in range(top + 1)]
     rep.add("garside_dimension", dim)
     for n, c in enumerate(counts):
         rep.add(f"nondegenerate_{n}", c)
     rep.add("euler", sum((-1) ** n * c for n, c in enumerate(counts)))
-    cyc = nerve.check_cyclic_identities(germ, top)
     rep.add("cyclic_identities", "ok" if cyc.ok else "FAIL")
     if args.out:
         lines = nerve.nerve_export_lines(germ, top)

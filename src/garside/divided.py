@@ -272,123 +272,3 @@ def theta_morphism(dg: DividedGerm, f: NormalForm) -> NormalForm:
     src = theta_object(dg.base, f.source, dg.m)
     return ladder_nf(dg, src, ladders, dg.m * f.delta_exp)
 
-
-# -- the subdivision isomorphism D_eq(C) ≅ D_e(C_q) ------------------------
-
-class SubdivisionIso(NamedTuple):
-    e: int
-    q: int
-    eq_divided: DividedGerm          # C_{eq}
-    q_divided: DividedGerm           # C_q
-    iterated: DividedGerm            # (C_q)_e
-    object_map: dict[int, int]       # C_{eq} object id -> (C_q)_e object id
-    simple_map: dict[int, int]       # C_{eq} simple id -> (C_q)_e simple id
-    fixed_check: str = "skipped"     # the p = q+1 fixed-subgerm comparison outcome
-
-
-def _regroup_object(dg_q: DividedGerm, f: DividedObject, e: int, q: int) -> DividedObject:
-    """Group an eq-subdivision into an e-tuple of C_q ladder ids."""
-    base = dg_q.base
-    blocks = [base.fold_product(f[i * e], f[i * e + 1 : (i + 1) * e]) for i in range(q)]
-    if None in blocks:
-        raise InternalError("a block of a subdivision does not multiply out")
-    out = []
-    cur = tuple(blocks)
-    for r in range(e):
-        cols = tuple(f[i * e + r] for i in range(q))
-        sid = dg_q.ladder_simple(cur, cols)
-        out.append(sid)
-        cur = dg_q.ladder_of[sid].tgt
-    return tuple(out)
-
-
-def _check_isomorphism(
-    g1: GarsideGerm,
-    g2: GarsideGerm,
-    object_map: dict[int, int],
-    simple_map: dict[int, int],
-    what: str,
-) -> None:
-    """Raise unless the id maps are bijections carrying products, Δ and φ of g1 to g2's."""
-    if len(set(object_map.values())) != len(object_map) or len(object_map) != len(g2.objects):
-        raise InternalError(f"{what} is not bijective on objects")
-    if len(set(simple_map.values())) != len(simple_map) or len(simple_map) != len(g2.simples):
-        raise InternalError(f"{what} is not bijective on simples")
-    for (a, b), c in g1.product.items():
-        if g2.product.get((simple_map[a], simple_map[b])) != simple_map[c]:
-            raise InternalError(f"{what} does not preserve the product")
-    if len(g1.product) != len(g2.product):
-        raise InternalError(f"{what} misses products")
-    for i in range(len(g1.objects)):
-        if simple_map[g1.delta[i]] != g2.delta[object_map[i]]:
-            raise InternalError(f"{what} does not carry delta to delta")
-        if object_map[g1.phi_obj[i]] != g2.phi_obj[object_map[i]]:
-            raise InternalError(f"{what} does not intertwine the shifts")
-
-
-def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
-    """
-    The grouping bijection D_{eq}(C) <-> D_e(C_q), verified to be a germ
-    isomorphism C_{eq} ≅ (C_q)_e carrying Δ to Δ and intertwining the shifts.
-    """
-    from .conjugacy import fixed_subgerm
-    if e < 1 or q < 1:
-        raise GermError("e and q must be positive")
-    dg_eq = build_divided_germ(germ, e * q)
-    dg_q = build_divided_germ(germ, q)
-    dg_it = build_divided_germ(dg_q.germ, e)
-
-    object_map: dict[int, int] = {}
-    for i, f in enumerate(dg_eq.objects):
-        g = _regroup_object(dg_q, f, e, q)
-        object_map[i] = dg_it.object_of(g)
-
-    simple_map: dict[int, int] = {}
-    for sid, lad in dg_eq.ladder_of.items():
-        src_it = dg_it.objects[object_map[dg_eq.object_of(lad.src)]]
-        # Column r of the image is the C_q ladder whose columns interleave
-        # the eq columns with stride e.
-        cols_it = []
-        for r in range(e):
-            q_src = dg_q.ladder_of[src_it[r]].src
-            q_cols = tuple(lad.columns[i * e + r] for i in range(q))
-            cols_it.append(dg_q.ladder_simple(q_src, q_cols))
-        image = dg_it.ladder_simple(src_it, tuple(cols_it))
-        simple_map[sid] = image
-    _check_isomorphism(dg_eq.germ, dg_it.germ, object_map, simple_map, "regrouping")
-
-    # Check of the fixed-subgerm refinement C_{eq}^{φ_{eq}^{ep}} ≅
-    # (C_q^{φ_q^p})_e at p = q+1, the power of the s·Δ loops of the paper,
-    # when both sides are non-empty: the regrouping, read through the two
-    # fixed-subgerm inclusions, is the map.
-    p = q + 1
-    left = fixed_subgerm(dg_eq.germ, e * p)
-    right_base = fixed_subgerm(dg_q.germ, p)
-    if left.is_empty or right_base.is_empty:
-        fixed_check = "skipped (empty fixed subgerm)"
-    else:
-        right = build_divided_germ(right_base.subgerm, e)
-        inc = right_base.simple_inclusion.__getitem__
-        obj_to_right = {
-            dg_it.object_of(tuple(map(inc, f))): i for i, f in enumerate(right.objects)
-        }
-        simple_to_right = {
-            dg_it.ladder_simple(tuple(map(inc, lad.src)), tuple(map(inc, lad.columns))): sid
-            for sid, lad in right.ladder_of.items()
-        }
-        try:
-            fixed_objects = {
-                i: obj_to_right[object_map[o]] for i, o in left.object_inclusion.items()
-            }
-            fixed_simples = {
-                i: simple_to_right[simple_map[s]] for i, s in left.simple_inclusion.items()
-            }
-        except KeyError:
-            raise InternalError("fixed-subgerm refinement fails") from None
-        _check_isomorphism(
-            left.subgerm, right.germ, fixed_objects, fixed_simples, "fixed-subgerm regrouping"
-        )
-        fixed_check = "verified"
-    return SubdivisionIso(
-        e, q, dg_eq, dg_q, dg_it, object_map, simple_map, fixed_check
-    )

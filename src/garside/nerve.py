@@ -7,7 +7,8 @@ there, a tuple is a simplex exactly when all its partial products are defined
 in the germ. The unique factor completing the product to Δ makes the
 n-simplices the (n+1)-subdivisions of Δ without their last factor, and they
 are enumerated so. Nondegenerate simplices have no identity factor and
-biject with strict chains 1 < u_1 < ... < u_n ≤ Δ.
+biject with strict chains 1 < u_1 < ... < u_n ≤ Δ, so they are counted
+from `chain_counts` without being listed.
 
 Also here: the special degeneracy (complete the product to Δ) and first face
 operators with their cyclic-shift identities, the counting polynomial
@@ -47,6 +48,12 @@ def garside_dimension(germ: GarsideGerm) -> int:
     for sid in sorted(range(len(germ.simples)), key=lambda s: germ.simples[s].length):
         depth[sid] = max((depth[d] + 1 for d in germ.divisors[sid] if d != sid), default=0)
     return max(depth, default=0)
+
+
+def nondegenerate_counts(germ: GarsideGerm) -> list[int]:
+    """Nondegenerate n-simplices for n = 0 … dim: Σ_x N_n(x) over `chain_counts`."""
+    per_object = [chain_counts(germ, obj.id) for obj in germ.objects]
+    return [sum(col) for col in zip_longest(*per_object, fillvalue=0)]
 
 
 def enumerate_simplices(germ: GarsideGerm, n: int) -> list[NerveSimplex]:
@@ -161,8 +168,7 @@ def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
     if samples < dim + 2:
         raise GermError(f"need at least dim+2 = {dim + 2} samples")
     as_budget(None).spend(samples, f": the polynomial would have {samples} coefficients")
-    per_object = [chain_counts(germ, obj.id) for obj in germ.objects]
-    totals = [sum(col) for col in zip_longest(*per_object, fillvalue=0)]
+    totals = nondegenerate_counts(germ)
     if germ.objects and len(totals) != dim + 1:
         raise InternalError(f"strict chains of length {len(totals) - 1} in dimension {dim}")
     return ZPolynomial(tuple(totals) + (0,) * (samples - len(totals)))

@@ -213,38 +213,3 @@ def format_word(germ: GarsideGerm, f: NormalForm) -> str:
         return f"@{germ.object_name(f.source)} " + " ".join(parts)
     return " ".join(parts)
 
-
-# -- bounded enumeration helpers ------------------------------------------
-
-def positive_elements_up_to(
-    germ: GarsideGerm, source: int, length_bound: int
-) -> list[NormalForm]:
-    """
-    All distinct positive morphisms out of `source` of homogeneous length
-    <= length_bound, by breadth-first multiplication with atoms.
-    """
-    start = identity_nf(source)
-    seen = {start: 0}
-    frontier = [(start, 0)]
-    while frontier:
-        new = []
-        for f, ln in frontier:
-            at = target(germ, f)
-            for a in germ.atoms:
-                if germ.simples[a].source != at:
-                    continue
-                ln2 = ln + germ.simples[a].length
-                if ln2 > length_bound:
-                    continue
-                g = multiply(germ, f, NormalForm(at, (a,), 0))
-                if g not in seen:
-                    seen[g] = ln2
-                    new.append((g, ln2))
-        frontier = new
-    return sorted(seen, key=lambda f: (seen[f], f.delta_exp, f.factors))
-
-
-def left_divides_morphism(germ: GarsideGerm, f: NormalForm, g: NormalForm) -> bool:
-    """Prefix order on the groupoid: f ≤ g iff f^{-1}·g is positive."""
-    q = multiply(germ, invert(germ, f), g)
-    return q.inf >= 0

@@ -20,7 +20,7 @@ from garside import (
     parse_word,
     validate,
 )
-from garside.builtins import common_multiple_report, dual_braid, rank2_counterexample
+from garside.builtins import dual_braid, rank2_counterexample
 from garside.conjugacy import are_conjugate, summit_set
 from garside.divided import build_divided_germ, count_subdivisions
 from garside.nerve import (
@@ -39,6 +39,7 @@ from garside.periodic import (
 from garside.words import delta_power_nf, is_loop
 
 import oracles
+from paper_checks import common_multiple_report
 
 A2 = validate(parse_germ((Path(__file__).parent / "data" / "a2.germ").read_text()))
 DUAL3 = validate(dual_braid(3))

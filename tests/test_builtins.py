@@ -6,7 +6,6 @@ from garside import parse_word, validate
 from garside.builtins import (
     artin_symmetric,
     build,
-    common_multiple_report,
     dihedral_chamber,
     dual_braid,
     rank2_counterexample,
@@ -14,6 +13,7 @@ from garside.builtins import (
 from garside.germ import GermError, table_to_text
 from garside.nerve import garside_dimension
 from garside.words import delta_power_nf, is_loop
+from paper_checks import common_multiple_report, left_divides_morphism
 
 
 @pytest.mark.parametrize(
@@ -153,8 +153,6 @@ def test_rank2_common_multiples_no_least(rank2):
     assert delta_power_nf(rank2.object_named("x"), 2) in multiples
     assert report["least"] == []
     # the divisibility-minimal common multiples are a^4 = Δa and b^4 = Δb
-    from garside.words import left_divides_morphism
-
     minimal = [
         f
         for f in multiples

@@ -148,6 +148,22 @@ def test_periodic_spends_the_request_budget(capsys):
     )
 
 
+def test_periodic_certify_builds_the_divided_germ_on_the_request_budget(capsys):
+    # is_periodic and the summit search spend 26 steps, the forecast of the
+    # 3-divided germ 106 more
+    argv = ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"]
+    assert main(argv + ["--budget", "131"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: computation budget exceeded (131 steps): "
+        "the 3-divided germ would have 106 simples\n"
+    )
+    assert main(argv + ["--budget", "132"]) == 0
+    pinned = DATA / "pinned" / "periodic_a2_certify.out"
+    assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+
 def test_periodic_no_length_one(capsys):
     code, out = run(
         capsys, "periodic", "--file", A2, "--word", "s t", "--p", "2", "--q", "3",
@@ -195,6 +211,12 @@ def test_nerve_and_export(tmp_path, capsys):
     assert "cyclic_identities: ok" in out
     lines = out_file.read_text().splitlines()
     assert len(lines) == 1 + 5 + 6 + 2
+
+
+def test_nerve_counts_above_the_dimension_are_zero(capsys):
+    code, out = run(capsys, "nerve", "--file", A2, "--dim", "5")
+    assert code == 0
+    assert "nondegenerate_3: 2\nnondegenerate_4: 0\nnondegenerate_5: 0\neuler: 0\n" in out
 
 
 def test_zpoly(capsys):

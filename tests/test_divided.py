@@ -20,7 +20,6 @@ from garside.divided import (
     build_divided_germ,
     count_subdivisions,
     enumerate_subdivisions,
-    subdivision_iso,
     theta_morphism,
     theta_object,
     tuple_name,
@@ -28,6 +27,7 @@ from garside.divided import (
 from garside.words import NormalForm, delta_power_nf, identity_nf, invert
 
 import oracles
+from paper_checks import subdivision_iso
 
 
 # (base, m) -> |simples of the m-divided germ| = |D_2m| of the base

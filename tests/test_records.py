@@ -8,7 +8,7 @@ import pytest
 
 from garside import Budget, BudgetExceeded, parse_germ, parse_word, validate
 from garside.conjugacy import ConjugacyWitness, FixedGermReport
-from garside.divided import DividedGerm, Ladder, SubdivisionIso
+from garside.divided import DividedGerm, Ladder
 from garside.germ import GermTable, ObjectRef, SimpleRef
 from garside.nerve import CoverBall, CyclicReport, NerveSimplex, ZPolynomial
 from garside.periodic import (
@@ -19,6 +19,7 @@ from garside.periodic import (
     PeriodicityCertificate,
 )
 from garside.words import NormalForm
+from paper_checks import SubdivisionIso
 
 NF = NormalForm(0, (3, 4), -1)
 
