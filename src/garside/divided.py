@@ -3,11 +3,14 @@ divided: the m-divided Garside category of a germ.
 
 Objects of the m-divided category are m-subdivisions of Δ: composable tuples
 (f_1, ..., f_m) of simples multiplying to Δ at the source of f_1. Simples are
-"ladders": column tuples (s_1, ..., s_m) with s_i a left divisor of f_i such
-that every diagonal product quotient(s_i, f_i)·s_{i+1} is again defined in the
-germ (indices wrap with a φ twist: s_{m+1} = φ(s_1)). The Garside map at f is
-the shift ladder with columns (f_1, ..., f_m), and the diagram automorphism is
-the cyclic shift (f_1, ..., f_m) -> (f_2, ..., f_m, φ(f_1)).
+"ladders": column tuples (s_1, ..., s_m) with s_i a left divisor of f_i, so
+that f_i = s_i·d_i for the diagonal d_i; every diagonal product d_i·s_{i+1}
+is then a simple (indices wrap with a φ twist: s_{m+1} = φ(s_1)) and these
+products are the target. So a ladder is the 2m-subdivision (s_1, d_1, ...,
+s_m, d_m), and a composable pair a·b is the 3m-subdivision (s_i, t_i, d_i/t_i)
+of b's columns t_i ≼ d_i. The Garside map at f is the shift ladder with
+columns (f_1, ..., f_m), and the diagram automorphism is the cyclic shift
+(f_1, ..., f_m) -> (f_2, ..., f_m, φ(f_1)).
 
 The construction is assembled as a plain germ table from ids and pushed
 through the full validator; a validation failure here means a bug, not bad
@@ -22,6 +25,7 @@ from (ε, ..., ε, s·s̄) over (1_x, ..., 1_x, Δ_x); the necklace conjugator o
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from collections.abc import Iterable
 from math import comb
@@ -82,23 +86,6 @@ class Ladder(NamedTuple):
     tgt: DividedObject
 
 
-def ladders_from(germ: GarsideGerm, src: DividedObject) -> list[Ladder]:
-    """All ladders with the given source, in column-lexicographic order."""
-    out: list[Ladder] = []
-
-    def extend(cols: list[int], i: int) -> None:
-        if i == len(src):
-            tgt = ladder_target(germ, src, tuple(cols))
-            if tgt is not None:
-                out.append(Ladder(src, tuple(cols), tgt))
-            return
-        for u in germ.divisor_list(src[i]):
-            extend(cols + [u], i + 1)
-
-    extend([], 0)
-    return out
-
-
 def tuple_name(germ: GarsideGerm, f: tuple[int, ...]) -> str:
     """
     Display name of a tuple of simples, e.g. a subdivision: (s,t,s). A name
@@ -138,32 +125,38 @@ def build_divided_germ(
     as_budget(budget).spend(forecast, f": the {m}-divided germ would have {forecast} simples")
     objs = enumerate_subdivisions(germ, m)
     object_ix = {f: i for i, f in enumerate(objs)}
-    ladders = [lad for f in objs for lad in ladders_from(germ, f)]
-    for lad in ladders:
-        if lad.tgt not in object_ix:
+    # The 2m-subdivision (s_1, d_1, ..., s_m, d_m) is the ladder with columns
+    # s_i at (s_1·d_1, ..., s_m·d_m).
+    ladders = []
+    for sub in enumerate_subdivisions(germ, 2 * m):
+        cols = sub[0::2]
+        src = tuple(germ.product[(s, d)] for s, d in zip(cols, sub[1::2]))
+        tgt = ladder_target(germ, src, cols)
+        if tgt not in object_ix:
             raise GermError("ladder target escapes the subdivision set")
+        ladders.append(Ladder(src, cols, tgt))
 
     # Simple ids follow the GermTable layout: the identity ladder at objs[i]
-    # (the only one of length 0 there) is simple i, the others follow.
+    # (the only one of length 0 there) is simple i, the others follow in
+    # (source id, columns) order, which is tuple order as objs is sorted.
     length = {lad: sum(germ.simples[c].length for c in lad.columns) for lad in ladders}
-    order = [lad for lad in ladders if length[lad] == 0]
-    order += [lad for lad in ladders if length[lad] > 0]
+    order = sorted(ladders, key=lambda lad: (length[lad] > 0, lad))
     ladder_of = dict(enumerate(order))
     simple_ix = {(lad.src, lad.columns): sid for sid, lad in ladder_of.items()}
 
-    # Partial product: columnwise base products, defined when every column
-    # multiplies and the result is again a ladder from the same source.
-    by_src: dict[DividedObject, list[int]] = {}
-    for b in range(len(objs), len(order)):
-        by_src.setdefault(order[b].src, []).append(b)
+    # a·b is defined exactly when b's columns t_i left-divide a's diagonals
+    # d_i; it is the ladder with columns s_i·t_i at a's source. Both factors
+    # are non-identities, and the column tuples come in lexicographic order,
+    # so the products come in (a, b) order.
     products = []
     for a in range(len(objs), len(order)):
-        s = order[a]
-        for b in by_src.get(s.tgt, ()):
-            cols = tuple(germ.product_of(x, y) for x, y in zip(s.columns, order[b].columns))
-            c = simple_ix.get((s.src, cols))
-            if c is not None:
-                products.append((a, b, c))
+        lad = order[a]
+        diag = [germ.divisors[f][s] for s, f in zip(lad.columns, lad.src)]
+        for t in itertools.product(*map(germ.divisor_list, diag)):
+            b = simple_ix[(lad.tgt, t)]
+            if b >= len(objs):
+                cols = tuple(germ.product[(s, u)] for s, u in zip(lad.columns, t))
+                products.append((a, b, simple_ix[(lad.src, cols)]))
 
     delta = {}
     for i, f in enumerate(objs):

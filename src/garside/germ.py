@@ -267,10 +267,7 @@ def parse_germ(text: str) -> GermTable:
             raise GermSyntaxError(f"unknown directive {kind!r}", lineno)
     if not seen_header:
         raise GermSyntaxError("empty file: missing 'garside-germ v1' header")
-    try:
-        return make_table(objects, simples, products, deltas)
-    except GermSyntaxError as exc:
-        raise GermSyntaxError(str(exc)) from None
+    return make_table(objects, simples, products, deltas)
 
 
 def table_to_text(table: GermTable | "GarsideGerm") -> str:
@@ -330,7 +327,6 @@ class GarsideGerm:
         self.rkey: list[dict[int, int]] = []
         self.complement_: list[int] = []
         self.phi_obj: list[int] = []
-        self.phi_obj_inv: list[int] = []
         self.phi_simple: list[int] = []
         self.phi_simple_inv: list[int] = []
         self.phi_order: int = 0
@@ -532,9 +528,6 @@ def validate(table: GermTable) -> GarsideGerm:
     germ.phi_obj = [simples[germ.delta[oid]].target for oid in range(len(germ.objects))]
     if sorted(germ.phi_obj) != list(range(len(germ.objects))):
         raise GermValidationError("targets of the delta simples do not permute objects")
-    germ.phi_obj_inv = [0] * len(germ.objects)
-    for x, y in enumerate(germ.phi_obj):
-        germ.phi_obj_inv[y] = x
 
     # Complement s̄: s·s̄ = Δ_source(s); a bijection S_{x->} -> S_{->xφ}
     # (axiom (iii)). Its order reversal needs no check: b = a·c gives ā = c·b̄

@@ -106,9 +106,12 @@ def check_cyclic_identities(germ: GarsideGerm, up_to_dim: int) -> CyclicReport:
     """
     (a) degeneracy-after-face is the φ-twisted cyclic shift on Δ-subdivisions;
     (b) (n+1)-fold face-after-degeneracy applies φ factor-wise on n-simplices.
+    It visits Σ_k N_k·C(up_to_dim + 1, k + 1) simplices, spent from the default budget first.
     """
     if up_to_dim < 0:
         raise GermError("dimension must be non-negative")
+    total = sum(n * comb(up_to_dim + 1, k + 1) for k, n in enumerate(nondegenerate_counts(germ)))
+    as_budget(None).spend(total, f": the cyclic-identity check would visit {total} simplices")
     checked = 0
     bad_shift: list[NerveSimplex] = []
     bad_power: list[NerveSimplex] = []

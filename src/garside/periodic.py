@@ -135,7 +135,8 @@ def bestvina_object(germ: GarsideGerm, bf: BestvinaForm) -> DividedObject:
     p = bf.q * bf.k + 1
     check_bestvina(germ, bf, p)
     shifted = letters
-    for _ in range(p):
+    # q shifts apply φ to every letter, so φ_q^p is p mod q·|φ| shifts.
+    for _ in range(p % (bf.q * germ.phi_order)):
         shifted = tuple(shifted[1:]) + (germ.phi_simple[shifted[0]],)
     if shifted != letters:
         raise GermError("Bestvina object is not fixed by the p-th shift power")

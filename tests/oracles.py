@@ -347,9 +347,6 @@ def reference_validate(table):
     germ.phi_obj = [simples[germ.delta[oid]].target for oid in range(len(germ.objects))]
     if sorted(germ.phi_obj) != list(range(len(germ.objects))):
         raise GermValidationError("targets of the delta simples do not permute objects")
-    germ.phi_obj_inv = [0] * len(germ.objects)
-    for x, y in enumerate(germ.phi_obj):
-        germ.phi_obj_inv[y] = x
 
     # Complement s̄: s·s̄ = Δ_source(s); a bijection S_{x->} -> S_{->xφ}
     # reversing order (axiom (iii)).
@@ -813,6 +810,54 @@ def reference_apply_slides(germ, dg, word_tuple, slides) -> tuple[NormalForm, li
     return res, words_t
 
 
+# -- the ladder search that 2m- and 3m-subdivisions replaced --------------------
+
+def ladders_from(germ, src: tuple[int, ...]) -> list:
+    """All ladders with the given source, in column-lexicographic order."""
+    from garside.divided import Ladder, ladder_target
+
+    out = []
+    for cols in cartesian(*(germ.divisor_list(f) for f in src)):
+        tgt = ladder_target(germ, src, cols)
+        if tgt is not None:
+            out.append(Ladder(src, cols, tgt))
+    return out
+
+
+def reference_divided_table(germ, m: int):
+    """
+    ladder_of and the GermTable of the m-divided germ by search: every column
+    tuple of divisors is filtered through ladder_target, and every pair of
+    non-identity ladders a, b with b at a's target is tried by columnwise
+    products and a lookup. Simple names are left out.
+    """
+    from garside.germ import enumerate_subdivisions
+
+    objs = enumerate_subdivisions(germ, m)
+    object_ix = {f: i for i, f in enumerate(objs)}
+    ladders = [lad for f in objs for lad in ladders_from(germ, f)]
+    length = {lad: sum(germ.simples[c].length for c in lad.columns) for lad in ladders}
+    order = [lad for lad in ladders if length[lad] == 0]
+    order += [lad for lad in ladders if length[lad] > 0]
+    simple_ix = {(lad.src, lad.columns): sid for sid, lad in enumerate(order)}
+    by_src: dict = {}
+    for b in range(len(objs), len(order)):
+        by_src.setdefault(order[b].src, []).append(b)
+    products = []
+    for a in range(len(objs), len(order)):
+        s = order[a]
+        for b in by_src.get(s.tgt, ()):
+            cols = tuple(germ.product_of(x, y) for x, y in zip(s.columns, order[b].columns))
+            c = simple_ix.get((s.src, cols))
+            if c is not None:
+                products.append((a, b, c))
+    simples = [
+        ("", object_ix[lad.src], object_ix[lad.tgt], length[lad]) for lad in order[len(objs):]
+    ]
+    table = assemble_table([""] * len(objs), simples, products, {})
+    return dict(enumerate(order)), table
+
+
 # -- the nerve walk that subdivisions replaced ---------------------------------
 
 def walk_simplices(germ, n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -919,8 +964,6 @@ def theta_simple(dg, sid: int) -> NormalForm:
 
 def ladders_between(germ, f: tuple[int, ...], g: tuple[int, ...]) -> list:
     """The ladders from the subdivision f to the subdivision g."""
-    from garside.divided import ladders_from
-
     return [lad for lad in ladders_from(germ, f) if lad.tgt == g]
 
 

@@ -164,6 +164,17 @@ def test_periodic_certify_builds_the_divided_germ_on_the_request_budget(capsys):
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
 
 
+def test_periodic_certify_at_a_huge_delta_power(capsys):
+    # k = 10^9 + 1: the Bestvina object is checked by p mod (q·|φ|) shifts
+    code, out = run(
+        capsys, "periodic", "--file", A2, "--word", "s D^1000000001",
+        "--p", "3000000004", "--q", "3", "--certify",
+    )
+    assert code == 0
+    assert "object: (s,t,s)" in out
+    assert "conjugation verified" in out
+
+
 def test_periodic_no_length_one(capsys):
     code, out = run(
         capsys, "periodic", "--file", A2, "--word", "s t", "--p", "2", "--q", "3",
@@ -217,6 +228,22 @@ def test_nerve_counts_above_the_dimension_are_zero(capsys):
     code, out = run(capsys, "nerve", "--file", A2, "--dim", "5")
     assert code == 0
     assert "nondegenerate_3: 2\nnondegenerate_4: 0\nnondegenerate_5: 0\neuler: 0\n" in out
+
+
+@pytest.mark.parametrize("argv,visits", [
+    # artin5 at its dimension 10
+    (["--builtin", "artin_symmetric", "--param", "5"], 68_772_196),
+    # a2: Σ_k N_k·C(10^9 + 1, k + 1) with N = (1, 5, 6, 2)
+    (["--file", A2, "--dim", "1000000000"], 83333334166666669083333336000000001),
+])
+def test_nerve_check_over_the_default_budget_exits_3(capsys, argv, visits):
+    assert main(["nerve", *argv]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: computation budget exceeded (2000000 steps): "
+        f"the cyclic-identity check would visit {visits} simplices\n"
+    )
 
 
 def test_zpoly(capsys):

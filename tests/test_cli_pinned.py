@@ -7,7 +7,9 @@ so they also pin that the id layout matches the one the name-based route
 produced; the other files were captured before the parser was rebuilt from
 one table of flags per subcommand. The a2 `divide` cases with m = 10^5 and
 10^6 were captured from the m-step multichain walk that the strict-chain
-count replaced. The flags each subcommand accepts are pinned too.
+count replaced. The artin4 and dual4 `divide` cases with m = 3 were
+captured from the ladder search that the 2m- and 3m-subdivisions replaced.
+The flags each subcommand accepts are pinned too.
 """
 
 import hashlib
@@ -47,6 +49,14 @@ CASES = {
     "divide_artin4_m2": (
         ["divide", *ARTIN, "4", "--m", "2", "--out", EXPORT], 0,
         "855dd5435e03f1afe52936123638248162ae87253412a9317e5f91666e2bc9b5",
+    ),
+    "divide_artin4_m3": (
+        ["divide", *ARTIN, "4", "--m", "3", "--out", EXPORT], 0,
+        "2929b089a07b47294d5808791348c9c5e9c0809e979bc4a25fdb7fba3688b8cd",
+    ),
+    "divide_dual4_m3": (
+        ["divide", *DUAL, "4", "--m", "3", "--out", EXPORT], 0,
+        "08fc1317b9fc1aaf7a03715452849a13a5e61b0c434f97df8cd15088ae126edf",
     ),
     "classify_a2_4_3": (["classify", "--file", A2, "--p", "4", "--q", "3"], 0, None),
     "classify_dual4_5_4": (["classify", *DUAL, "4", "--p", "5", "--q", "4"], 0, None),

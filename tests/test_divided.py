@@ -208,7 +208,7 @@ def test_theta_of_delta_is_garside_power(name, m, request):
         img = oracles.theta_simple(dg, germ.delta[x])
         assert img == NormalForm(src, (), m)
         assert theta_morphism(dg, delta_power_nf(x, 1)) == img
-        before = germ.delta[germ.phi_obj_inv[x]]
+        before = germ.delta[germ.phi_obj.index(x)]
         want = invert(dg.germ, oracles.theta_simple(dg, before))
         assert theta_morphism(dg, delta_power_nf(x, -1)) == want
         assert theta_morphism(dg, delta_power_nf(x, 3)) == NormalForm(src, (), 3 * m)

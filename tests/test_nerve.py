@@ -1,12 +1,13 @@
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from garside import builtins as germ_builtins
 from garside import parse_germ, validate
 from garside.divided import count_subdivisions
-from garside.germ import GermError, enumerate_subdivisions
+from garside.germ import BudgetExceeded, GermError, enumerate_subdivisions
 from garside.nerve import (
     NerveSimplex,
     ZPolynomial,
@@ -20,6 +21,7 @@ from garside.nerve import (
     fit_z_polynomial,
     garside_dimension,
     nerve_export_lines,
+    nondegenerate_counts,
     special_degeneracy,
 )
 
@@ -151,7 +153,9 @@ def test_cyclic_identities(germ_name, request):
     germ = request.getfixturevalue(germ_name)
     report = check_cyclic_identities(germ, 3)
     assert report.ok
-    assert report.checked > 0
+    # the forecast it spends: Σ_k N_k·C(4, k + 1)
+    counts = nondegenerate_counts(germ)
+    assert report.checked == sum(n * comb(4, k + 1) for k, n in enumerate(counts)) > 0
 
 
 def test_cyclic_identities_need_a_non_negative_dimension(a2):
@@ -160,6 +164,15 @@ def test_cyclic_identities_need_a_non_negative_dimension(a2):
     with pytest.raises(GermError, match="dimension must be non-negative"):
         enumerate_simplices(a2, -1)
     assert check_cyclic_identities(a2, 0).checked == 1
+
+
+def test_cyclic_identities_spend_the_default_budget(a2, monkeypatch):
+    import garside.germ
+
+    assert check_cyclic_identities(a2, 3).checked == 60
+    monkeypatch.setattr(garside.germ, "DEFAULT_BUDGET", 59)
+    with pytest.raises(BudgetExceeded, match="would visit 60 simplices"):
+        check_cyclic_identities(a2, 3)
 
 
 def test_double_shift_on_atom(a2):
