@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .germ import GermError, GermTable, make_table
+from .germ import GermError, GermTable, assemble_table
 
 FAMILIES = ("artin_symmetric", "dual_braid", "dihedral_chamber", "rank2_counterexample")
 
@@ -39,9 +39,7 @@ def _artin_name(p: tuple[int, ...], inv: dict[tuple[int, ...], int]) -> str:
     """Lex-least reduced word over the generator letters s, t, u, v, w; inv holds the lengths."""
     letters = "stuvw"
     n = len(p)
-    gens = [
-        tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)
-    ]
+    gens = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)]
     out = []
     while inv[p] > 0:
         for i, g in enumerate(gens):
@@ -53,66 +51,59 @@ def _artin_name(p: tuple[int, ...], inv: dict[tuple[int, ...], int]) -> str:
     return "".join(out)
 
 
+def _interval_germ(n: int, length, top: tuple[int, ...], name) -> GermTable:
+    """
+    One object x; the simples are the permutations p of n letters below top,
+    length(p) + length(p⁻¹·top) = length(top), in lexicographic order (the
+    identity first), and the products are the length-additive pairs whose
+    product stays below top. Δ is top.
+    """
+    ln = {
+        p: length(p) for p in permutations(range(n))
+        if length(p) + length(_compose(_perm_inv(p), top)) == length(top)
+    }
+    ix = {p: i for i, p in enumerate(ln)}
+    below = list(ln)[1:]
+    products = [
+        (ix[p], ix[q], ix[r])
+        for p in below for q in below
+        if (r := _compose(p, q)) in ln and ln[p] + ln[q] == ln[r]
+    ]
+    simples = [(name(p), 0, 0, ln[p]) for p in below]
+    return assemble_table(["x"], simples, products, {0: ix[top]})
+
+
 def artin_symmetric(n: int) -> GermTable:
     if not 2 <= n <= 6:
         raise GermError("artin_symmetric expects 2 <= n <= 6")
-    perms = sorted(permutations(range(n)))
-    ident = tuple(range(n))
+    inv = {p: _inversions(p) for p in permutations(range(n))}
     w0 = tuple(reversed(range(n)))
-    inv = {p: _inversions(p) for p in perms}
-    names = {p: _artin_name(p, inv) for p in perms}
-    names[w0] = "D"
-    simples = [(names[p], "x", "x", inv[p]) for p in perms if p != ident]
-    products = []
-    for p in perms[1:]:
-        for q in perms[1:]:
-            r = _compose(p, q)
-            if inv[p] + inv[q] == inv[r]:
-                products.append((names[p], names[q], names[r]))
-    return make_table(["x"], simples, products, {"x": names[w0]})
+    return _interval_germ(
+        n, inv.__getitem__, w0, lambda p: "D" if p == w0 else _artin_name(p, inv)
+    )
 
 
 def _refl_length(p: tuple[int, ...]) -> int:
-    n = len(p)
-    seen = [False] * n
+    """n minus the number of cycles of p."""
+    seen: set[int] = set()
     cycles = 0
-    for i in range(n):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-    return n - cycles
+    for i in range(len(p)):
+        cycles += i not in seen
+        while i not in seen:
+            seen.add(i)
+            i = p[i]
+    return len(p) - cycles
 
 
 def _perm_inv(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def dual_braid(n: int) -> GermTable:
     if not 2 <= n <= 6:
         raise GermError("dual_braid expects 2 <= n <= 6")
     cycle = tuple((i + 1) % n for i in range(n))
-    ident = tuple(range(n))
-
-    def below_cycle(p: tuple[int, ...]) -> bool:
-        q = _compose(_perm_inv(p), cycle)
-        return _refl_length(p) + _refl_length(q) == _refl_length(cycle)
-
-    ncp = sorted(p for p in permutations(range(n)) if below_cycle(p))
-    length = {p: _refl_length(p) for p in ncp}
-    simples = [(_perm_name(p), "x", "x", length[p]) for p in ncp if p != ident]
-    products = []
-    for p in ncp[1:]:
-        for q in ncp[1:]:
-            r = _compose(p, q)
-            if r in length and length[p] + length[q] == length[r]:
-                products.append((_perm_name(p), _perm_name(q), _perm_name(r)))
-    return make_table(["x"], simples, products, {"x": _perm_name(cycle)})
+    return _interval_germ(n, _refl_length, cycle, _perm_name)
 
 
 def dihedral_chamber(m: int) -> GermTable:
@@ -120,62 +111,46 @@ def dihedral_chamber(m: int) -> GermTable:
     if not 2 <= m <= 12:
         raise GermError("dihedral_chamber expects 2 <= m <= 12")
     n = 2 * m
-    objects = [f"c{i}" for i in range(n)]
 
     def dist(i: int, j: int) -> int:
         d = (j - i) % n
         return min(d, n - d)
 
-    def name(i: int, j: int) -> str:
-        return f"c{i}_c{j}"
-
-    simples = [
-        (name(i, j), f"c{i}", f"c{j}", dist(i, j))
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    ]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    ix = {pair: n + k for k, pair in enumerate(pairs)}    # after the n identities
+    simples = [(f"c{i}_c{j}", i, j, dist(i, j)) for i, j in pairs]
     products = [
-        (name(i, j), name(j, k), name(i, k))
+        (ix[i, j], ix[j, k], ix[i, k])
         for i in range(n) for j in range(n) for k in range(n)
         if len({i, j, k}) == 3 and dist(i, j) + dist(j, k) == dist(i, k)
     ]
-    deltas = {f"c{i}": name(i, (i + m) % n) for i in range(n)}
-    return make_table(objects, simples, products, deltas)
+    deltas = {i: ix[i, (i + m) % n] for i in range(n)}
+    return assemble_table([f"c{i}" for i in range(n)], simples, products, deltas)
 
 
 def rank2_counterexample() -> GermTable:
     """Two objects x, y with arrows a, b each way and the relation a³ = b³."""
-    simples = []
-    products = []
-    for src, tgt in (("x", "y"), ("y", "x")):
-        for letter in ("a", "b"):
-            simples.append((f"{letter}_{src}", src, tgt, 1))
-            simples.append((f"{letter}{letter}_{src}", src, src, 2))
-        simples.append((f"D_{src}", src, tgt, 3))
-        for letter in ("a", "b"):
-            products.append((f"{letter}_{src}", f"{letter}_{tgt}", f"{letter}{letter}_{src}"))
-            products.append((f"{letter}_{src}", f"{letter}{letter}_{tgt}", f"D_{src}"))
-            products.append((f"{letter}{letter}_{src}", f"{letter}_{src}", f"D_{src}"))
-    return make_table(["x", "y"], simples, products, {"x": "D_x", "y": "D_y"})
+    simples, products = [], []
+    for x, y in ((0, 1), (1, 0)):
+        # The simples out of object o: a, aa, b, bb, D at ids 2 + 5o + 0…4.
+        at, name = 2 + 5 * x, "xy"[x]
+        for k, letter in enumerate("ab"):
+            simples += [(f"{letter}_{name}", x, y, 1), (f"{letter * 2}_{name}", x, x, 2)]
+            one, two, other = at + 2 * k, at + 2 * k + 1, 2 + 5 * y + 2 * k
+            products += [(one, other, two), (one, other + 1, at + 4), (two, one, at + 4)]
+        simples.append((f"D_{name}", x, y, 3))
+    return assemble_table(["x", "y"], simples, products, {0: 6, 1: 11})
 
 
 def build(family: str, param: int | None = None) -> GermTable:
-    if family == "artin_symmetric":
-        return artin_symmetric(_need(family, param))
-    if family == "dual_braid":
-        return dual_braid(_need(family, param))
-    if family == "dihedral_chamber":
-        return dihedral_chamber(_need(family, param))
     if family == "rank2_counterexample":
         if param is not None:
             raise GermError(f"builtin family {family!r} takes no --param")
         return rank2_counterexample()
-    raise GermError(f"unknown builtin family {family!r}; choose from {FAMILIES}")
-
-
-def _need(family: str, param: int | None) -> int:
+    if family not in FAMILIES:
+        raise GermError(f"unknown builtin family {family!r}; choose from {FAMILIES}")
     if param is None:
         raise GermError(f"builtin family {family!r} needs --param")
-    return param
-
+    generators = {"artin_symmetric": artin_symmetric, "dual_braid": dual_braid,
+                  "dihedral_chamber": dihedral_chamber}
+    return generators[family](param)

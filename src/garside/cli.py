@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import builtins as germ_builtins
@@ -59,19 +60,23 @@ FAILURES = [
 
 
 class Reporter:
+    """Output lines, printed by flush once the handler has succeeded."""
+
     def __init__(self, json_like: bool):
         self.json_like = json_like
-        self.lines: list[str] = []
+        self.parts: list[Iterable[str]] = []
 
     def add(self, key: str, value, text: str | None = None) -> None:
-        if self.json_like:
-            self.lines.append(f"{key}: {value}")
-        else:
-            self.lines.append(text if text is not None else f"{key}: {value}")
+        self.parts.append((f"{key}: {value}" if self.json_like or text is None else text,))
+
+    def add_lazy(self, facts: Iterable[tuple[str, object]]) -> None:
+        """`key: value` lines that flush draws one at a time, so they are never all held."""
+        self.parts.append(f"{key}: {value}" for key, value in facts)
 
     def flush(self) -> None:
-        for line in self.lines:
-            print(line)
+        for part in self.parts:
+            for line in part:
+                print(line)
 
 
 def load_germ(args) -> GarsideGerm:
@@ -261,9 +266,8 @@ def cmd_zpoly(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     samples = args.samples if args.samples is not None else dim + 2
     z = nerve.fit_z_polynomial(germ, samples)
     rep.add("degree", z.degree)
-    rep.add("newton_coefficients", " ".join(str(c) for c in z.coefficients))
-    for m in range(1, samples + 3):
-        rep.add(f"Z({m})", z(m))
+    rep.add("newton_coefficients", (" ".join(map(str, z.head)) + " 0" * z.zeros).lstrip())
+    rep.add_lazy((f"Z({m})", z(m)) for m in range(1, samples + 3))
     return EXIT_OK
 
 

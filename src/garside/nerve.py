@@ -140,25 +140,33 @@ def check_cyclic_identities(germ: GarsideGerm, up_to_dim: int) -> CyclicReport:
 
 
 class ZPolynomial:
-    """Z(m) = Σ_j c_j·C(m-1, j), in O(degree) per m however many zeros pad c."""
+    """Z(m) = Σ_j c_j·C(m-1, j); the zeros padding c past its degree are a count."""
 
-    __slots__ = ("coefficients", "degree")
+    __slots__ = ("head", "zeros")
 
-    def __init__(self, coefficients: tuple[int, ...]):
-        self.coefficients = coefficients
-        self.degree = max((j for j, c in enumerate(coefficients) if c), default=-1)
+    def __init__(self, coefficients: tuple, zeros: int = 0):
+        k = max((j + 1 for j, c in enumerate(coefficients) if c), default=0)
+        self.head, self.zeros = tuple(coefficients[:k]), len(coefficients) - k + zeros
+
+    @property
+    def coefficients(self) -> tuple:
+        return self.head + (0,) * self.zeros
+
+    @property
+    def degree(self) -> int:
+        return len(self.head) - 1
 
     def __eq__(self, other):
-        return type(other) is ZPolynomial and self.coefficients == other.coefficients
+        return type(other) is ZPolynomial and (self.head, self.zeros) == (other.head, other.zeros)
 
     def __hash__(self) -> int:
-        return hash(self.coefficients)
+        return hash((self.head, self.zeros))
 
     def __repr__(self) -> str:
         return f"ZPolynomial(coefficients={self.coefficients!r})"
 
     def __call__(self, m: int) -> int:
-        return sum(c * comb(m - 1, j) for j, c in enumerate(self.coefficients[: self.degree + 1]))
+        return sum(c * comb(m - 1, j) for j, c in enumerate(self.head))
 
 
 def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
@@ -174,7 +182,7 @@ def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
     totals = nondegenerate_counts(germ)
     if germ.objects and len(totals) != dim + 1:
         raise InternalError(f"strict chains of length {len(totals) - 1} in dimension {dim}")
-    return ZPolynomial(tuple(totals) + (0,) * (samples - len(totals)))
+    return ZPolynomial(tuple(totals), samples - len(totals))
 
 
 # -- bounded universal-cover ball -------------------------------------------
@@ -186,15 +194,52 @@ class CoverBall(NamedTuple):
     edges: list[tuple[int, int]]    # indices into vertices, i < j
 
 
+def cover_ball_size(germ: GarsideGerm, basepoint: int, radius: int) -> int:
+    """
+    The vertex count Σ_{l ≤ r} G_l·(r − l + 1) of the cover ball: a vertex is
+    s_1…s_l·Δ^k with k ≤ r − l, and G_l counts the greedy s_1…s_l out of the
+    basepoint, no factor an identity or a Δ, by a DP over the last factor.
+    The ball's search forms one product per vertex and non-identity simple at
+    its target (φ keeps out-degrees); those are spent from the default budget
+    level by level, so the DP stops once they pass it.
+    """
+    inner = [[s for s in out if germ.simples[s].length and not germ.is_delta(s)]
+             for out in germ.by_source]
+    follow = {germ.identity[basepoint]: inner[basepoint]}    # a -> the b with a·b greedy
+    count = {germ.identity[basepoint]: 1}                    # last factor -> G_l
+    vertices = products = 0
+    for spare in range(radius, -1, -1):                      # spare = r − l
+        if not count:
+            break
+        vertices += (spare + 1) * sum(count.values())
+        products += (spare + 1) * sum(
+            n * (len(germ.by_source[germ.simples[a].target]) - 1) for a, n in count.items()
+        )
+        as_budget(None).spend(products, f": the cover ball of radius {radius} would form "
+                              f"at least {products} products")
+        nxt: dict[int, int] = {}
+        for a, n in count.items():
+            if a not in follow:
+                bar = germ.complement(a)
+                follow[a] = [b for b in inner[germ.simples[a].target]
+                             if germ.is_identity(germ.meet(bar, b))]
+            for b in follow[a]:
+                nxt[b] = nxt.get(b, 0) + n
+        count = nxt
+    return vertices
+
+
 def cover_ball(germ: GarsideGerm, basepoint: int, radius: int) -> CoverBall:
     """
     Positive morphisms from the basepoint with sup ≤ radius; edges join f, g
     when f^{-1}g or g^{-1}f is simple, that is when g = f·s or f = g·s for a
     non-identity simple s (Δ included). The breadth-first search computes
-    every such f·s inside the ball, so it records the edges as it goes.
+    every such f·s inside the ball, so it records the edges as it goes; its
+    vertex count must match `cover_ball_size`, which spends its products first.
     """
     if radius < 0:
         raise GermError("radius must be non-negative")
+    size = cover_ball_size(germ, basepoint, radius)
     seen = {identity_nf(basepoint)}
     frontier = list(seen)
     steps = set()
@@ -212,6 +257,8 @@ def cover_ball(germ: GarsideGerm, basepoint: int, radius: int) -> CoverBall:
                         seen.add(g)
                         new.append(g)
         frontier = new
+    if len(seen) != size:
+        raise InternalError(f"the cover ball has {len(seen)} vertices, forecast {size}")
     vertices = sorted(seen, key=lambda f: (f.sup, f.delta_exp, f.factors))
     index = {f: i for i, f in enumerate(vertices)}
     edges = sorted({tuple(sorted((index[f], index[g]))) for f, g in steps})

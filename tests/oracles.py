@@ -532,6 +532,19 @@ def fixpoint_parse_word(germ, text: str) -> NormalForm:
     return res
 
 
+def closed_form_inverse(germ, f: NormalForm) -> NormalForm:
+    """
+    The normal form of f⁻¹ read off f = s_1…s_ℓ·Δ^k with no normalization
+    (El-Rifai–Morton 1994): from the target of f, the factors
+    φ^{k+ℓ−i}(s̄_i) for i = ℓ, …, 1, then Δ^{−k−ℓ}.
+    """
+    ell, k = len(f.factors), f.delta_exp
+    factors = tuple(
+        germ.phi_power(germ.complement(f.factors[i - 1]), k + ell - i) for i in range(ell, 0, -1)
+    )
+    return NormalForm(target(germ, f), factors, -k - ell)
+
+
 def reference_is_periodic(germ, gamma: NormalForm, p: int, q: int) -> bool:
     """γ^q = Δ^p, decided by computing all of γ^q (q - 1 products)."""
     return power(germ, gamma, q) == delta_power_nf(gamma.source, p)

@@ -5,6 +5,9 @@ checks, and the m-step walk itself. The chain counts are also the
 nondegenerate simplices of the nerve, object by object.
 """
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -105,6 +108,41 @@ def test_zpoly_many_samples(capsys):
     assert coefficients[:8] == "1 23 104 196 184 86 16 0".split()
     assert len(coefficients) == 100000 and set(coefficients[7:]) == {"0"}
     assert len(lines) == 2 + 100002 and lines[-1].startswith("Z(100002): ")
+
+
+SRC = str(Path(nerve.__file__).resolve().parent.parent)
+# VmHWM, not ru_maxrss: a child's ru_maxrss keeps the peak of the process it
+# was forked from, and VmHWM starts afresh at exec.
+PEAK_RSS = """
+import os, re, sys
+from contextlib import redirect_stdout
+from garside.cli import main
+with open(os.devnull, "w") as sink, redirect_stdout(sink):
+    assert main(["zpoly", "--builtin", "artin_symmetric", "--param", "4", "--samples", sys.argv[1]]) == 0
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+"""
+
+
+def zpoly_peak_rss_kb(samples: int) -> int:
+    """Peak RSS of a fresh interpreter that runs an artin4 `zpoly`, its output sent to devnull."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, str(samples)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout)
+
+
+def test_zpoly_memory_does_not_grow_with_samples():
+    # The Z(m) lines are printed as they are computed and the padding zeros
+    # of the coefficients are a count; 400,000 samples once held 43 MB more.
+    assert zpoly_peak_rss_kb(400_000) - zpoly_peak_rss_kb(10) < 3 * 1024
+
+
+def test_failed_zpoly_prints_nothing(capsys):
+    assert main(["zpoly", "--builtin", "artin_symmetric", "--param", "4", "--samples", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: need at least dim+2 = 8 samples\n")
 
 
 def test_degree_mismatch_is_an_internal_error(a2, monkeypatch, capsys):

@@ -5,9 +5,10 @@ from math import comb
 import pytest
 
 from garside import builtins as germ_builtins
-from garside import parse_germ, validate
+from garside import nerve, parse_germ, validate
+from garside.cli import main
 from garside.divided import count_subdivisions
-from garside.germ import BudgetExceeded, GermError, enumerate_subdivisions
+from garside.germ import BudgetExceeded, GermError, InternalError, enumerate_subdivisions
 from garside.nerve import (
     NerveSimplex,
     ZPolynomial,
@@ -15,6 +16,7 @@ from garside.nerve import (
     check_cyclic_identities,
     cover_ball,
     cover_ball_dot,
+    cover_ball_size,
     enumerate_nondegenerate,
     enumerate_simplices,
     face_zero,
@@ -261,6 +263,36 @@ def test_cover_ball_edges_match_pairwise_oracle(name, radius, request):
     for x in range(len(germ.objects)):
         ball = cover_ball(germ, x, radius)
         assert ball.edges == oracles.pairwise_cover_edges(germ, ball.vertices)
+
+
+@pytest.mark.parametrize(
+    "name,sizes",
+    [("a2", [1, 6, 19, 48]), ("chamber3", [1, 6, 19, 48]), ("rank2", [1, 6, 19, 48]),
+     ("artin4", [1, 24, 211, 1380])],
+)
+def test_cover_ball_size_counts_greedy_sequences(name, sizes, request):
+    germ = request.getfixturevalue(name)
+    assert [cover_ball_size(germ, 0, r) for r in range(4)] == sizes
+    assert len(cover_ball(germ, 0, 3).vertices) == sizes[3]
+
+
+def test_cover_ball_spends_its_products_before_the_search(capsys):
+    # artin4 at radius 60: the DP stops at the level where the products the
+    # search would form pass the default budget.
+    assert main(["cover", "--builtin", "artin_symmetric", "--param", "4", "--radius", "60"]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: computation budget exceeded (2000000 steps): the cover ball of radius 60 "
+        "would form at least 8811507 products\n"
+    ))
+    with pytest.raises(BudgetExceeded, match="radius 1000000000000 would form"):
+        cover_ball_size(validate(parse_germ("garside-germ v1\nobject x\n"
+                                            "simple g : x -> x\n")), 0, 10**12)
+
+
+def test_cover_ball_checks_its_vertex_count(a2, monkeypatch):
+    monkeypatch.setattr(nerve, "cover_ball_size", lambda germ, basepoint, radius: 18)
+    with pytest.raises(InternalError, match="^the cover ball has 19 vertices, forecast 18$"):
+        cover_ball(a2, 0, 2)
 
 
 def test_cover_ball_vertices_positive(a2):

@@ -1,8 +1,8 @@
 """
 The append-and-repair kernel of garside.words against the fixpoint kernel in
 oracles.py: the same NormalForm from normal_form, multiply and parse_word on
-every builtin and on divided germs, and a pinned count of the meet lookups
-that shows the work saved.
+every builtin and on divided germs, invert against the closed-form inverse,
+and a pinned count of the meet lookups that shows the work saved.
 """
 
 import random
@@ -12,8 +12,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garside import GermError, builtins, divided, multiply, normal_form, parse_germ, parse_word, validate
-from garside.words import delta_power_nf, target
+from garside import (
+    GermError, builtins, divided, invert, multiply, normal_form, parse_germ, parse_word, validate,
+)
+from garside.words import delta_power_nf, identity_nf, target
 
 import oracles
 
@@ -122,6 +124,20 @@ def test_parse_word_matches_fixpoint(data, key):
         at = germ.simples[sid].target
     text = " ".join(toks)
     assert outcome(parse_word, germ, text) == outcome(oracles.fixpoint_parse_word, germ, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(germ_and_word(), shifts)
+def test_invert_matches_the_closed_form(case, shift):
+    # On every builtin and divided germ, not only A₂: invert gives the closed
+    # form, is an involution, and f·f⁻¹ and f⁻¹·f are identities.
+    germ, source, word = case
+    f = normal_form(germ, word, shift) if word else delta_power_nf(source, shift)
+    inverse = invert(germ, f)
+    assert inverse == oracles.closed_form_inverse(germ, f)
+    assert invert(germ, inverse) == f
+    assert multiply(germ, f, inverse) == identity_nf(source)
+    assert multiply(germ, inverse, f) == identity_nf(target(germ, f))
 
 
 class CountingDict(dict):
