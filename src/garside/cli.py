@@ -218,8 +218,7 @@ def cmd_classify(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     cl = periodic.classify_periodic(germ, args.p, args.q)
     rep.add("classes", len(cl.components))
     for i, (comp, r) in enumerate(zip(cl.components, cl.representatives)):
-        names = " ".join(divided.tuple_name(germ, t) for t in comp)
-        rep.add(f"class_{i}_objects", names)
+        rep.add(f"class_{i}_objects", " ".join(divided.tuple_name(germ, t) for t in comp))
         rep.add(f"class_{i}_representative", words.format_word(germ, r))
     return EXIT_OK
 
@@ -229,6 +228,8 @@ def cmd_centralizer(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     try:
         report = periodic.centralizer_germ(germ, args.p)
     except GermError as exc:
+        if isinstance(exc, (BudgetExceeded, GermValidationError, InternalError)):
+            raise  # only "no fixed objects" is an answer
         rep.add("centralizer", "none", str(exc))
         return EXIT_NEGATIVE
     sub = report.subgerm

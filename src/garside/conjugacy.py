@@ -17,7 +17,7 @@ from .germ import (
     Budget,
     GarsideGerm,
     GermError,
-    GermValidationError,
+    InternalError,
     as_budget,
     assemble_table,
     components,
@@ -33,7 +33,7 @@ class ConjugacyWitness(NamedTuple):
 
     def check(self, germ: GarsideGerm) -> "ConjugacyWitness":
         if multiply(germ, self.g, self.c) != multiply(germ, self.c, self.h):
-            raise GermError("broken conjugacy witness")
+            raise InternalError("broken conjugacy witness")
         return self
 
 
@@ -140,71 +140,79 @@ def are_conjugate(
 
 
 class FixedGermReport(NamedTuple):
-    subgerm: GarsideGerm | None            # None when there are no fixed objects
-    object_inclusion: dict[int, int]       # subgerm object id -> ambient object id
-    simple_inclusion: dict[int, int]       # subgerm simple id -> ambient simple id
-    components: list[list[int]]            # partition of subgerm objects
-    atoms_realized: dict[int, int]         # subgerm atom -> ambient atom with psi_* closure = it
+    subgerm: GarsideGerm | None                # None when there are no fixed objects
+    object_inclusion: list[tuple[int, ...]]    # subgerm object id -> fixed object of 𝒢_q
+    simple_inclusion: list[tuple[int, ...]]    # subgerm simple id -> its column tuple
+    components: list[list[int]]                # partition of subgerm objects
+    atoms_realized: dict[int, int]             # subgerm atom b -> base atom α, ψ_*(α) = b
 
     @property
     def is_empty(self) -> bool:
         return self.subgerm is None
 
 
-def psi_star(germ: GarsideGerm, p: int, sid: int) -> int:
-    """Iterated join of the φ^p-orbit of a simple; stabilizes by atomicity."""
-    u = sid
-    while True:
-        v = germ.join(u, germ.phi_power(u, p))
-        if v == u:
-            return u
-        u = v
-
-
-def fixed_subgerm(germ: GarsideGerm, p: int) -> FixedGermReport:
+def fixed_subgerm(germ: GarsideGerm, p: int, q: int = 1) -> FixedGermReport:
     """
-    The subgerm of φ^p-invariant simples at φ^p-fixed objects. The result is
-    validated as a Garside germ whenever non-empty. φ^p needs no check of its
-    own: φ is an automorphism carrying Δ to Δ (see validate), and so are its
-    powers.
+    The φ_q^p-fixed subgerm of 𝒢_q, p = kq + 1, from the base germ (at q = 1 the
+    φ^p-fixed subgerm, base names kept): fixed objects and ladders are twists
+    (`divided.fixed_twist`) of the f with q·len(f) = ‖Δ_x‖ multiplying to Δ_x
+    and of the s ≼ f. a·b is defined when each column t_i of b left-divides
+    the diagonal d_i of a, and is (a_i·t_i). Validated in full.
     """
-    fixed_objs = [o.id for o in germ.objects if germ.phi_power_obj(o.id, p) == o.id]
-    if not fixed_objs:
-        return FixedGermReport(None, {}, {}, [], {})
+    from .divided import fixed_twist, ladder_target, tuple_name
+    if q < 1:
+        raise GermError("q must be positive")
+    if (p - 1) % q:
+        raise GermError(f"p = {p} is not congruent to 1 mod q = {q}")
+    norm = [germ.simples[d].length for d in germ.delta]
+    firsts = [f.id for f in germ.simples if q * f.length == norm[f.source]]
+    # Only an object whose Δ is the identity admits q > ‖Δ‖.
+    as_budget(None).spend(q * len(firsts), f": fixed objects of {q} letters")
+    twists = (fixed_twist(germ, f, p, q) for f in firsts)
+    objs = [t for t in twists if t is not None and germ.fold_product(t[0], t[1:]) is not None]
+    if not objs:
+        return FixedGermReport(None, [], [], [], {})
+    objs.sort(key=lambda t: (germ.simples[t[0]].source, t))
+    obj_ix = {t: i for i, t in enumerate(objs)}
+    lads = []  # (columns, source, target); identities sort first, in object order (1_x = x)
+    for i, t in enumerate(objs):
+        for s in germ.divisors[t[0]]:
+            cols = fixed_twist(germ, s, p, q)
+            tgt = cols and ladder_target(germ, t, cols)
+            if tgt and tgt not in obj_ix:
+                raise InternalError("a fixed ladder ends outside the fixed objects")
+            if tgt:
+                lads.append((cols, i, obj_ix[tgt]))
+    lads.sort(key=lambda lad: (germ.simples[lad[0][0]].length > 0, lad))
+    inclusion = [cols for cols, _, _ in lads]
+    ix = {(i, cols[0]): n for n, (cols, i, _) in enumerate(lads)}
+    # b at a's target multiplies a iff each t_i ≼ d_i; twists (a's diagonals too)
+    # divide as their first entries, so t_1 ≼ d_1 decides, and a·b has a_1·t_1.
+    products = []
+    for a, (cols, i, j) in enumerate(lads[len(objs):], len(objs)):
+        for t1 in germ.divisors[germ.divisors[objs[i][0]][cols[0]]]:
+            b = ix.get((j, t1), 0)
+            if b >= len(objs):
+                products.append((a, b, ix[(i, germ.product[(cols[0], t1)])]))
+    if q == 1:  # 𝒢_1 is the base germ: keep its names
+        obj_names = [germ.object_name(germ.simples[t[0]].source) for t in objs]
+        names = [germ.simple_name(cols[0]) for cols in inclusion]
+    else:
+        obj_names = [tuple_name(germ, t) for t in objs]
+        names = [f"lad{tuple_name(germ, cols)}@{obj_names[i]}" for cols, i, _ in lads]
+    simples = [(n, i, j, q * germ.simples[c[0]].length) for n, (c, i, j) in zip(names, lads)]
+    delta = {i: ix[(i, t[0])] for i, t in enumerate(objs)}
+    sub = validate(assemble_table(obj_names, simples[len(objs):], products, delta))
 
-    # The subgerm's GermTable layout: identities at the fixed objects, then
-    # the other invariant simples between fixed objects, in ambient order.
-    obj_pos = {o: i for i, o in enumerate(fixed_objs)}
-    steps = [
-        s for s in germ.simples
-        if s.length > 0 and s.source in obj_pos and s.target in obj_pos
-        and germ.phi_power(s.id, p) == s.id
-    ]
-    inclusion = [germ.identity[o] for o in fixed_objs] + [s.id for s in steps]
-    sub_id = {amb: i for i, amb in enumerate(inclusion)}
-    # a·b of invariant simples is invariant, as φ^p preserves products.
-    products = [
-        (sub_id[a], sub_id[b], sub_id[c]) for (a, b), c in germ.product.items()
-        if a in sub_id and b in sub_id and not germ.is_identity(a) and not germ.is_identity(b)
-    ]
-    simples = [(s.name, obj_pos[s.source], obj_pos[s.target], s.length) for s in steps]
-    delta = {i: sub_id[germ.delta[o]] for i, o in enumerate(fixed_objs)}
-    sub = validate(assemble_table(
-        [germ.object_name(o) for o in fixed_objs], simples, products, delta
-    ))
-
-    object_inclusion = dict(enumerate(fixed_objs))
-    simple_inclusion = dict(enumerate(inclusion))
-    # Every subgerm atom is the psi_* closure of any ambient atom below it.
+    # ≼ at one source is columnwise: a ≼ c means c = a·t, columns a_i·t_i, and
+    # a_i ≼ c_i ≼ f_i = a_i·d_i gives t_i = a_i\c_i ≼ d_i by left cancellation.
+    # A fixed c is above a 𝒢_q atom (atom β in column j) iff φ^{(j-1)k}β ≼ c_1;
+    # ψ_*(α), the least fixed ladder above, is b iff α ≼ c_1 implies b_1 ≼ c_1.
     atoms_realized = {}
     for b in sub.atoms:
-        amb = simple_inclusion[b]
-        amb_atom = next(a for a in germ.atoms if a in germ.divisors[amb])
-        if psi_star(germ, p, amb_atom) != amb:
-            raise GermValidationError(
-                f"subgerm atom {sub.simple_name(b)!r} is not a psi_* closure"
-            )
-        atoms_realized[b] = amb_atom
-    return FixedGermReport(
-        sub, object_inclusion, simple_inclusion, components(sub), atoms_realized
-    )
+        b1 = inclusion[b][0]
+        alpha = atoms_realized[b] = next(a for a in germ.atoms if a in germ.divisors[b1])
+        for c in sub.by_source[sub.simples[b].source]:
+            if alpha in germ.divisors[inclusion[c][0]] and b1 not in germ.divisors[inclusion[c][0]]:
+                raise InternalError(f"subgerm atom {sub.simple_name(b)!r} is not a psi_* closure")
+    return FixedGermReport(sub, objs, inclusion, components(sub), atoms_realized)

@@ -80,6 +80,19 @@ def ladder_target(
     return tuple(tgt)
 
 
+def fixed_twist(germ: GarsideGerm, s: int, p: int, q: int) -> DividedObject | None:
+    """
+    The twist (s, φ^{-k}s, ..., φ^{-(q-1)k}s) of s for p = kq + 1, if φ_q^p
+    fixes it, else None. φ_q shifts (f_1, ..., f_q) to (f_2, ..., f_q, φf_1),
+    so q shifts apply φ to every entry and φ_q^p maps (f_1, ..., f_q) to
+    (φ^k f_2, ..., φ^k f_q, φ^{k+1} f_1): a tuple it fixes is the twist of f_1.
+    """
+    k = (p - 1) // q
+    f = tuple(germ.phi_power(s, -i * k) for i in range(q))
+    shifted = tuple(germ.phi_power(t, k) for t in f[1:]) + (germ.phi_power(s, k + 1),)
+    return f if shifted == f else None
+
+
 class Ladder(NamedTuple):
     src: DividedObject
     columns: tuple[int, ...]
@@ -133,7 +146,7 @@ def build_divided_germ(
         src = tuple(germ.product[(s, d)] for s, d in zip(cols, sub[1::2]))
         tgt = ladder_target(germ, src, cols)
         if tgt not in object_ix:
-            raise GermError("ladder target escapes the subdivision set")
+            raise InternalError("ladder target escapes the subdivision set")
         ladders.append(Ladder(src, cols, tgt))
 
     # Simple ids follow the GermTable layout: the identity ladder at objs[i]
@@ -161,7 +174,7 @@ def build_divided_germ(
     delta = {}
     for i, f in enumerate(objs):
         if (f, f) not in simple_ix:
-            raise GermError("shift ladder missing; base germ is not Garside")
+            raise InternalError("shift ladder missing; base germ is not Garside")
         delta[i] = simple_ix[(f, f)]
 
     # Non-identity ladders need unique names; identical column tuples can
@@ -181,9 +194,9 @@ def build_divided_germ(
     for i, f in enumerate(objs):
         shifted = tuple(f[1:]) + (germ.phi_simple[f[0]],)
         if dgerm.phi_obj[i] != object_ix[shifted]:
-            raise GermError("divided phi is not the cyclic shift on objects")
+            raise InternalError("divided phi is not the cyclic shift on objects")
     if dgerm.phi_order % germ.phi_order != 0 or (m * germ.phi_order) % dgerm.phi_order != 0:
-        raise GermError("divided phi order does not divide m × base phi order")
+        raise InternalError("divided phi order does not divide m × base phi order")
     return dg
 
 

@@ -84,10 +84,8 @@ def check_bestvina(germ: GarsideGerm, bf: BestvinaForm, p: int) -> None:
         raise GermError("Bestvina form violates p = qk+1")
     letters = bf.twisted_letters(germ)
     prod = germ.fold_product(letters[0], letters[1:])
-    if prod is None:
-        raise GermError("Bestvina product is undefined")
-    if not germ.is_delta(prod):
-        raise GermError("Bestvina product does not equal delta")
+    if prod is None or not germ.is_delta(prod):
+        raise GermError("Bestvina product is not delta")
 
 
 def find_bestvina_form(
@@ -131,15 +129,12 @@ def find_bestvina_form(
 
 def bestvina_object(germ: GarsideGerm, bf: BestvinaForm) -> DividedObject:
     """The q-tuple (s, s^{φ^{-k}}, ...) as a divided object, φ_q^p-fixed."""
-    letters = bf.twisted_letters(germ)
+    from .divided import fixed_twist
     p = bf.q * bf.k + 1
     check_bestvina(germ, bf, p)
-    shifted = letters
-    # q shifts apply φ to every letter, so φ_q^p is p mod q·|φ| shifts.
-    for _ in range(p % (bf.q * germ.phi_order)):
-        shifted = tuple(shifted[1:]) + (germ.phi_simple[shifted[0]],)
-    if shifted != letters:
-        raise GermError("Bestvina object is not fixed by the p-th shift power")
+    letters = fixed_twist(germ, bf.s, p, bf.q)
+    if letters is None:
+        raise InternalError("Bestvina object is not fixed by the p-th shift power")
     return letters
 
 
@@ -171,27 +166,23 @@ def necklace_conjugator(
     Θ_q(sΔ^k)·c = c·Δ_q^p by normal-form equality.
     """
     from .divided import build_divided_germ, ladder_nf, slide, theta_morphism, theta_object
-    q = bf.q
-    p = q * bf.k + 1
+    q, p = bf.q, bf.q * bf.k + 1
     if dg is None:
         dg = build_divided_germ(germ, q)
-    letters = bf.twisted_letters(germ)
+    letters = bestvina_object(germ, bf)
     start = theta_object(germ, germ.simples[bf.s].source, q)
     ladders, end, final = slide(dg, start, ((),) * (q - 1) + (letters,), beta2_slides(q))
     if final != tuple((sid,) for sid in letters):
         raise InternalError("slide word did not end at the letter tuple")
-    under = bestvina_object(germ, bf)
-    if end != under:
-        raise GermError("conjugator does not end at the Bestvina object")
+    if end != letters:
+        raise InternalError("conjugator does not end at the Bestvina object")
     c = ladder_nf(dg, start, ladders)
 
     gamma = normal_form(germ, [bf.s], bf.k)
     theta = theta_morphism(dg, gamma)
-    dpow = delta_power_nf(dg.object_of(under), p)
-    lhs = multiply(dg.germ, theta, c)
-    rhs = multiply(dg.germ, c, dpow)
-    if lhs != rhs:
-        raise GermError("necklace conjugation equation failed verification")
+    dpow = delta_power_nf(dg.object_of(letters), p)
+    if multiply(dg.germ, theta, c) != multiply(dg.germ, c, dpow):
+        raise InternalError("necklace conjugation equation failed verification")
     return NecklaceConjugation(bf, dg, c, theta, dpow)
 
 
@@ -208,28 +199,13 @@ class PeriodicClassification(NamedTuple):
 def classify_periodic(germ: GarsideGerm, p: int, q: int) -> PeriodicClassification:
     """
     Conjugacy classes of p/q-periodic loops, as connected components of the
-    φ_q^p-fixed subgerm of the q-divided germ.
+    φ_q^p-fixed subgerm of the q-divided germ, built from the base germ.
     """
     from .conjugacy import fixed_subgerm
-    from .divided import build_divided_germ
-    if q < 1:
-        raise GermError("q must be positive")
-    if (p - 1) % q != 0:
-        raise GermError(f"p = {p} is not congruent to 1 mod q = {q}")
+    fixed = fixed_subgerm(germ, p, q)
     k = (p - 1) // q
-    dg = build_divided_germ(germ, q)
-    fixed = fixed_subgerm(dg.germ, p)
-    comps: list[list[DividedObject]] = []
-    reps: list[NormalForm] = []
-    if not fixed.is_empty:
-        for comp in fixed.components:
-            tuples = sorted(
-                dg.objects[fixed.object_inclusion[o]] for o in comp
-            )
-            comps.append(tuples)
-            f1 = tuples[0][0]
-            reps.append(normal_form(germ, [f1], k))
-    return PeriodicClassification(p, q, k, comps, reps)
+    comps = sorted(sorted(fixed.object_inclusion[o] for o in comp) for comp in fixed.components)
+    return PeriodicClassification(p, q, k, comps, [normal_form(germ, [c[0][0]], k) for c in comps])
 
 
 def centralizer_germ(germ: GarsideGerm, p: int) -> FixedGermReport:

@@ -550,7 +550,7 @@ def reference_is_periodic(germ, gamma: NormalForm, p: int, q: int) -> bool:
     return power(germ, gamma, q) == delta_power_nf(gamma.source, p)
 
 
-# -- general automorphisms: the route fixed_subgerm(germ, p) replaced ---------
+# -- general automorphisms: the materialized route fixed_subgerm(germ, p, q) replaced
 
 class Automorphism(NamedTuple):
     """A germ automorphism, given by its action on object and simple ids."""
@@ -609,14 +609,19 @@ def reference_psi_star(germ, psi: Automorphism, sid: int) -> int:
 
 
 def reference_fixed_subgerm(germ, psi: Automorphism) -> FixedGermReport:
-    """The subgerm of psi-invariant simples at psi-fixed objects, for any automorphism psi."""
+    """
+    The subgerm of psi-invariant simples at psi-fixed objects, for any
+    automorphism psi. Its inclusions hold ids of the ambient germ; with germ
+    the q-divided germ and psi = φ^p, this is the materialized route to
+    fixed_subgerm(base, p, q).
+    """
     check_automorphism(germ, psi)
     fixed_objs = [o.id for o in germ.objects if psi.obj_map[o.id] == o.id]
     for oid in fixed_objs:
         if psi.simple_map[germ.delta[oid]] != germ.delta[oid]:
             raise GermValidationError("psi does not fix delta at a fixed object")
     if not fixed_objs:
-        return FixedGermReport(None, {}, {}, [], {})
+        return FixedGermReport(None, [], [], [], {})
     obj_pos = {o: i for i, o in enumerate(fixed_objs)}
     steps = [
         s for s in germ.simples
@@ -644,10 +649,7 @@ def reference_fixed_subgerm(germ, psi: Automorphism) -> FixedGermReport:
                 f"subgerm atom {sub.simple_name(b)!r} is not a psi_* closure"
             )
         atoms_realized[b] = amb_atom
-    return FixedGermReport(
-        sub, dict(enumerate(fixed_objs)), dict(enumerate(inclusion)), components(sub),
-        atoms_realized,
-    )
+    return FixedGermReport(sub, fixed_objs, inclusion, components(sub), atoms_realized)
 
 
 def germ_isomorphism(g1: GarsideGerm, g2: GarsideGerm) -> dict[int, int] | None:

@@ -90,7 +90,9 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
     # Check of the fixed-subgerm refinement C_{eq}^{φ_{eq}^{ep}} ≅
     # (C_q^{φ_q^p})_e at p = q+1, the power of the s·Δ loops of the paper,
     # when both sides are non-empty: the regrouping, read through the two
-    # fixed-subgerm inclusions, is the map.
+    # fixed-subgerm inclusions, is the map. Both are taken at q = 1 in their
+    # divided germs, so an inclusion holds 1-tuples: (Δ_y,) for an object y
+    # and (s,) for a simple s.
     p = q + 1
     left = fixed_subgerm(dg_eq.germ, e * p)
     right_base = fixed_subgerm(dg_q.germ, p)
@@ -98,7 +100,7 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
         fixed_check = "skipped (empty fixed subgerm)"
     else:
         right = build_divided_germ(right_base.subgerm, e)
-        inc = right_base.simple_inclusion.__getitem__
+        inc = [s for (s,) in right_base.simple_inclusion].__getitem__
         obj_to_right = {
             dg_it.object_of(tuple(map(inc, f))): i for i, f in enumerate(right.objects)
         }
@@ -108,10 +110,11 @@ def subdivision_iso(germ: GarsideGerm, e: int, q: int) -> SubdivisionIso:
         }
         try:
             fixed_objects = {
-                i: obj_to_right[object_map[o]] for i, o in left.object_inclusion.items()
+                i: obj_to_right[object_map[dg_eq.germ.simples[d].source]]
+                for i, (d,) in enumerate(left.object_inclusion)
             }
             fixed_simples = {
-                i: simple_to_right[simple_map[s]] for i, s in left.simple_inclusion.items()
+                i: simple_to_right[simple_map[s]] for i, (s,) in enumerate(left.simple_inclusion)
             }
         except KeyError:
             raise InternalError("fixed-subgerm refinement fails") from None

@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from garside import Budget, parse_germ, parse_word, validate
 from garside.cli import main
 from garside.conjugacy import summit_set
+from garside.words import delta_power_nf
 
 DATA = Path(__file__).parent / "data"
 A2 = str(DATA / "a2.germ")
@@ -356,6 +358,30 @@ def test_internal_error_exits_5(monkeypatch, capsys):
     argv = ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"]
     assert main(argv) == 5
     assert capsys.readouterr().err == "internal error: slide does not map to a ladder\n"
+
+
+CERTIFY = ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"]
+# argv, module and name to patch, replacement, message of the consistency check
+BROKEN = {
+    "divided_target": (["divide", "--file", A2, "--m", "2"], "divided", "ladder_target",
+                       lambda *args: (-1,), "ladder target escapes the subdivision set"),
+    "fixed_target": (["centralizer", "--file", A2, "--p", "1"], "divided", "ladder_target",
+                     lambda *args: (-1,), "a fixed ladder ends outside the fixed objects"),
+    "classify_target": (["classify", "--file", A2, "--p", "4", "--q", "3"], "divided",
+                        "ladder_target", lambda *args: (-1,),
+                        "a fixed ladder ends outside the fixed objects"),
+    "necklace": (CERTIFY, "periodic", "delta_power_nf",
+                 lambda obj, p: delta_power_nf(obj, p + 1),
+                 "necklace conjugation equation failed verification"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_failed_consistency_check_exits_5_without_traceback(name, monkeypatch, capsys):
+    argv, module, attr, replacement, message = BROKEN[name]
+    monkeypatch.setattr(importlib.import_module(f"garside.{module}"), attr, replacement)
+    assert main(argv) == 5
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
 
 
 def usage_error(capsys, *argv) -> str:

@@ -36,6 +36,11 @@ CASES = {
         ["classify", "--file", A2, "--p", "4", "--q", "3"],
         {"garside.conjugacy", "garside.divided", "garside.periodic"},
     ),
+    # the fixed germ at q = 1 reads ladders and twists from `divided`
+    "centralizer": (
+        ["centralizer", "--file", A2, "--p", "1"],
+        {"garside.conjugacy", "garside.divided", "garside.periodic"},
+    ),
     "periodic": (
         ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"],
         {"garside.conjugacy", "garside.divided", "garside.periodic"},

@@ -9,6 +9,11 @@ one table of flags per subcommand. The a2 `divide` cases with m = 10^5 and
 10^6 were captured from the m-step multichain walk that the strict-chain
 count replaced. The artin4 and dual4 `divide` cases with m = 3 were
 captured from the ladder search that the 2m- and 3m-subdivisions replaced.
+The classify cases artin4 5/4 and artin5 3/2 were captured from the route
+that built and filtered the whole divided germ 𝒢_q; artin5 6/5 and a2
+1001/1000 were captured from the fixed-germ builder, as that route refused
+them (exit 3, 𝒢_q too large), and the artin5 6/5 count is checked by hand in
+test_periodic.py.
 The flags each subcommand accepts are pinned too.
 """
 
@@ -61,6 +66,10 @@ CASES = {
     "classify_a2_4_3": (["classify", "--file", A2, "--p", "4", "--q", "3"], 0, None),
     "classify_dual4_5_4": (["classify", *DUAL, "4", "--p", "5", "--q", "4"], 0, None),
     "classify_artin4_3_2": (["classify", *ARTIN, "4", "--p", "3", "--q", "2"], 0, None),
+    "classify_artin4_5_4": (["classify", *ARTIN, "4", "--p", "5", "--q", "4"], 0, None),
+    "classify_artin5_3_2": (["classify", *ARTIN, "5", "--p", "3", "--q", "2"], 0, None),
+    "classify_artin5_6_5": (["classify", *ARTIN, "5", "--p", "6", "--q", "5"], 0, None),
+    "classify_a2_1001_1000": (["classify", "--file", A2, "--p", "1001", "--q", "1000"], 0, None),
     "periodic_a2_certify": (
         ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"],
         0, None,

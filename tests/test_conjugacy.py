@@ -14,7 +14,6 @@ from garside.conjugacy import (
     are_conjugate,
     conjugate,
     fixed_subgerm,
-    psi_star,
     summit_set,
     to_summit,
 )
@@ -110,7 +109,7 @@ def test_fixed_subgerm_phi(a2):
     assert rep.components == [[0]]
     # psi_* closure of either atom is the join of the full orbit: s ∨ t = Δ
     s = a2.simple_named("s")
-    assert a2.simple_name(psi_star(a2, 1, s)) == "D"
+    assert a2.simple_name(oracles.reference_psi_star(a2, oracles.phi_automorphism(a2, 1), s)) == "D"
 
 
 def test_fixed_subgerm_identity_power(a2):
@@ -125,10 +124,12 @@ def test_fixed_subgerm_empty(rank2):
 
 
 def test_fixed_subgerm_validates(a2, a2_div3):
-    rep = fixed_subgerm(a2_div3.germ, 2)
+    # at q = 1 a fixed object is (Δ_y,) for an object y of the ambient germ
+    g = a2_div3.germ
+    rep = fixed_subgerm(g, 2)
     assert not rep.is_empty
     names = sorted(
-        tuple_name(a2, a2_div3.objects[rep.object_inclusion[o]])
+        tuple_name(a2, a2_div3.objects[g.simples[rep.object_inclusion[o][0]].source])
         for o in range(len(rep.subgerm.objects))
     )
     assert names == ["(s,t,s)", "(t,s,t)"]
@@ -150,21 +151,21 @@ def test_fixed_subgerm_matches_the_automorphism_route(request, name):
     else:
         family, _, param = name.partition("-")
         germ = validate(germ_builtins.build(family, int(param) if param else None))
+    # at q = 1 the fixed objects are the 1-tuples (Δ_x,) and the columns (s,)
     for p in range(2 * germ.phi_order + 1):
         psi = oracles.phi_automorphism(germ, p)
         got, want = fixed_subgerm(germ, p), oracles.reference_fixed_subgerm(germ, psi)
         assert got.is_empty == want.is_empty
-        assert got.object_inclusion == want.object_inclusion
-        assert got.simple_inclusion == want.simple_inclusion
+        assert got.object_inclusion == [(germ.delta[o],) for o in want.object_inclusion]
+        assert got.simple_inclusion == [(s,) for s in want.simple_inclusion]
         assert got.components == want.components
         assert got.atoms_realized == want.atoms_realized
         if got.is_empty:
             continue
         assert table_to_text(got.subgerm) == table_to_text(want.subgerm)
-        fixed = set(got.object_inclusion.values())
-        for a in germ.atoms:
-            if germ.simples[a].source in fixed:
-                assert psi_star(germ, p, a) == oracles.reference_psi_star(germ, psi, a)
+        assert got.subgerm.product == want.subgerm.product
+        for b, a in got.atoms_realized.items():
+            assert oracles.reference_psi_star(germ, psi, a) == got.simple_inclusion[b][0]
 
 
 def test_components(a2, rank2, a2_div3):

@@ -1,0 +1,98 @@
+"""
+The φ_q^p-fixed subgerm read off the base germ, against the materialized
+route it replaced (oracles.py): build the q-divided germ 𝒢_q, then keep the
+φ_q^p-invariant simples at its fixed objects. Same fixed objects, column
+tuples, product triples and components; at q = 1 the same realized atoms.
+"""
+
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from garside import builtins, parse_germ, validate
+from garside.conjugacy import fixed_subgerm
+from garside.divided import build_divided_germ
+
+import oracles
+
+DATA = Path(__file__).parent / "data"
+BASES = {
+    "a2": lambda: parse_germ((DATA / "a2.germ").read_text(encoding="utf-8")),
+    "rank2": builtins.rank2_counterexample,
+    "artin3": lambda: builtins.artin_symmetric(3),
+    "artin4": lambda: builtins.artin_symmetric(4),
+    "dual3": lambda: builtins.dual_braid(3),
+    "dual4": lambda: builtins.dual_braid(4),
+    "chamber3": lambda: builtins.dihedral_chamber(3),
+    "chamber4": lambda: builtins.dihedral_chamber(4),
+    "chamber6": lambda: builtins.dihedral_chamber(6),
+}
+
+# 𝒢_q takes over about 0.2 s to build for these (name, q), so their cases
+# (p = q + 1 and 2q + 1) are left out: artin4 at q = 3 and 4 (0.3 and 1.8 s),
+# chamber4 at q = 4 (0.2 s), chamber6 at q = 3 and 4 (0.7 and 4.6 s), each
+# one build on a shared 2-core machine.
+SLOW = {("artin4", 3), ("artin4", 4), ("chamber4", 4), ("chamber6", 3), ("chamber6", 4)}
+CASES = [
+    (name, p, q)
+    for name in BASES
+    for q in range(1, 5)
+    for p in sorted({q + 1, 2 * q + 1} | ({1} if q == 1 else set()))
+    if (name, q) not in SLOW
+]
+
+
+@cache
+def base(name):
+    return validate(BASES[name]())
+
+
+@cache
+def divided_germ(name, q):
+    return build_divided_germ(base(name), q)
+
+
+def product_triples(report, objects, columns):
+    """(source, a, b, a·b) for every product, in columns of the base germ."""
+    sub = report.subgerm
+    return {
+        (objects[sub.simples[a].source], columns[a], columns[b], columns[c])
+        for (a, b), c in sub.product.items()
+    }
+
+
+@pytest.mark.parametrize("name,p,q", CASES)
+def test_fixed_subgerm_matches_the_materialized_route(name, p, q):
+    dg = divided_germ(name, q)
+    got = fixed_subgerm(base(name), p, q)
+    want = oracles.reference_fixed_subgerm(dg.germ, oracles.phi_automorphism(dg.germ, p))
+    assert got.is_empty == want.is_empty
+    if got.is_empty:
+        return
+    objects = [dg.objects[o] for o in want.object_inclusion]
+    columns = [dg.ladder_of[s].columns for s in want.simple_inclusion]
+    assert sorted(got.object_inclusion) == sorted(objects)
+
+    def ladders(report, objs, cols):
+        return sorted((objs[s.source], c) for s, c in zip(report.subgerm.simples, cols))
+
+    assert ladders(got, got.object_inclusion, got.simple_inclusion) == ladders(
+        want, objects, columns
+    )
+    assert product_triples(got, got.object_inclusion, got.simple_inclusion) == product_triples(
+        want, objects, columns
+    )
+
+    def classes(report, objs):
+        return sorted(sorted(objs[o] for o in comp) for comp in report.components)
+
+    assert classes(got, got.object_inclusion) == classes(want, objects)
+    if q == 1:
+        realized = {columns[b]: dg.ladder_of[a].columns for b, a in want.atoms_realized.items()}
+        assert {got.simple_inclusion[b]: (a,) for b, a in got.atoms_realized.items()} == realized
+
+
+def test_every_case_is_counted():
+    # 9 bases × 9 (p, q) pairs, less the 10 cases of SLOW
+    assert len(CASES) == 71

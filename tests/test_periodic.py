@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garside import multiply, normal_form, parse_word, power
+from garside import multiply, normal_form, parse_germ, parse_word, power, validate
 from garside import periodic
 from garside.divided import beta1_slides, ladder_nf, slide, theta_morphism, theta_object
 from garside.germ import Budget, BudgetExceeded, GermError
@@ -324,6 +324,38 @@ def test_chamber_periodic_loops(chamber3):
     assert len(cl.components[0]) == len(chamber3.objects)
     # a 4/3-periodic loop would need a length-1 simple from C to its antipode
     assert classify_periodic(chamber3, 4, 3).components == []
+
+
+def test_classify_artin5_six_fifths_is_the_class_of_delta_cubed():
+    # Hand count: p = 6 is even, so Δ⁶ is central; every periodic 5-braid is
+    # conjugate to a power of δ = σ₁σ₂σ₃σ₄ or ε = δσ₁ with δ⁵ = ε⁴ = Δ²
+    # (Brouwer–Kerékjártó–Eilenberg), and γ⁵ = Δ⁶ holds for δ³ only (ε^j would
+    # need 5j = 12). So exactly one class. 𝒢₅ itself has 17,753,440 simples.
+    from garside.builtins import artin_symmetric
+    from garside.conjugacy import are_conjugate
+
+    artin5 = validate(artin_symmetric(5))
+    cl = classify_periodic(artin5, 6, 5)
+    assert len(cl.components) == 1
+    delta_cubed = parse_word(artin5, "s t u v " * 3)
+    assert is_periodic(artin5, delta_cubed, 6, 5) is not None
+    assert is_periodic(artin5, cl.representatives[0], 6, 5) is not None
+    assert are_conjugate(artin5, delta_cubed, cl.representatives[0]) is not None
+
+
+def test_classify_with_q_beyond_delta_is_empty_at_once(a2):
+    # no simple f has len(f)·1000 = ‖Δ‖ = 3: no fixed object, nothing built
+    assert classify_periodic(a2, 1001, 1000).components == []
+
+
+def test_an_identity_delta_spends_its_q_letters():
+    # At an object whose Δ is the identity every q admits a fixed object, the
+    # q-letter tuple of identities; past the default budget it is refused.
+    point = validate(parse_germ("garside-germ v1\nobject x\n"))
+    cl = classify_periodic(point, 6, 5)
+    assert [[point.simple_name(s) for s in t] for t in cl.components[0]] == [["id@x"] * 5]
+    with pytest.raises(BudgetExceeded, match="fixed objects of 3000000 letters"):
+        classify_periodic(point, 3_000_001, 3_000_000)
 
 
 def test_centralizer_examples(a2, rank2):

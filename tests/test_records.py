@@ -31,9 +31,8 @@ RECORDS = [
                                        "declared_delta")),
     (NormalForm, (0, (3, 4), -1), ("source", "factors", "delta_exp")),
     (ConjugacyWitness, (NF, NF, NF), ("g", "c", "h")),
-    (FixedGermReport, (None, {}, {}, [], {}), ("subgerm", "object_inclusion",
-                                              "simple_inclusion", "components",
-                                              "atoms_realized")),
+    (FixedGermReport, (None, [(3, 4)], [(0, 1), (3, 4)], [[0]], {1: 3}),
+     ("subgerm", "object_inclusion", "simple_inclusion", "components", "atoms_realized")),
     (Ladder, ((3, 4), (3, 0), (4, 5)), ("src", "columns", "tgt")),
     (DividedGerm, (None, None, 2, [], {}, {}, {}), ("germ", "base", "m", "objects",
                                                    "object_ix", "ladder_of", "simple_ix")),

@@ -96,6 +96,12 @@ def fixed_germs():
             report = fixed_subgerm(germ, p)
             if not report.is_empty:
                 yield pytest.param(report.subgerm, id=f"{name}-m{m}-p{p}")
+    # the φ_q^p-fixed part of 𝒢_q, read off the base germ
+    for name in ("a2", "rank2", "dual3"):
+        for q in (2, 3):
+            report = fixed_subgerm(validate(base_table(name)), q + 1, q)
+            if not report.is_empty:
+                yield pytest.param(report.subgerm, id=f"{name}-q{q}-p{q + 1}")
 
 
 @pytest.mark.parametrize("sub", list(fixed_germs()))
