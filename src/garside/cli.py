@@ -29,6 +29,7 @@ from pathlib import Path
 from . import builtins as germ_builtins
 from . import words
 from .germ import (
+    DEFAULT_BUDGET,
     Budget,
     BudgetExceeded,
     GarsideGerm,
@@ -244,15 +245,21 @@ def cmd_nerve(germ: GarsideGerm, forms, args, rep: Reporter) -> int:
     from . import nerve
     dim = nerve.garside_dimension(germ)
     top = args.dim if args.dim is not None else dim
-    # The check lists every simplex up to top, so it runs (and refuses a
-    # negative top) before the counts are padded with zeros up to top.
-    cyc = nerve.check_cyclic_identities(germ, top)
-    totals = nerve.nondegenerate_counts(germ)
-    counts = [totals[n] if n < len(totals) else 0 for n in range(top + 1)]
+    if top < 0:
+        raise GermError("dimension must be non-negative")
+    # One default budget pays for the count lines and the listed simplices.
+    budget = Budget(DEFAULT_BUDGET)
+    budget.spend(top + 1, f": nerve would print {top + 1} simplex counts")
+    totals = nerve.nondegenerate_counts(germ)[: top + 1]
+    if args.out:
+        listed = sum(totals)
+        budget.spend(listed, f": the simplex list would hold {listed} simplices")
+    cyc = nerve.check_cyclic_identities(germ)
     rep.add("garside_dimension", dim)
-    for n, c in enumerate(counts):
-        rep.add(f"nondegenerate_{n}", c)
-    rep.add("euler", sum((-1) ** n * c for n, c in enumerate(counts)))
+    rep.add_lazy(
+        (f"nondegenerate_{n}", totals[n] if n < len(totals) else 0) for n in range(top + 1)
+    )
+    rep.add("euler", sum((-1) ** n * c for n, c in enumerate(totals)))
     rep.add("cyclic_identities", "ok" if cyc.ok else "FAIL")
     if args.out:
         lines = nerve.nerve_export_lines(germ, top)
@@ -306,7 +313,7 @@ FLAGS = {
     "--count": dict(action="store_true", help="print a count only"),
     "--certify": dict(action="store_true"),
     "--out": dict(help="output file for exports"),
-    "--budget": dict(type=int, default=2_000_000),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET),
 }
 
 # name -> (handler, help, number of --word arguments, flags besides the source).

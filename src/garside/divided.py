@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 from .germ import (
     Budget,
+    BudgetExceeded,
     GarsideGerm,
     GermError,
     InternalError,
@@ -42,7 +43,7 @@ from .germ import (
     enumerate_subdivisions,
     validate,
 )
-from .words import NormalForm, delta_power_nf, normal_form
+from .words import MAX_WORD_FACTORS, NormalForm, delta_power_nf, normal_form
 
 DividedObject = tuple[int, ...]
 
@@ -136,6 +137,11 @@ def build_divided_germ(
     """Construct and fully validate the m-divided germ, after spending its |D_2m| simples."""
     forecast = sum(count_subdivisions(germ, 2 * m).values())
     as_budget(budget).spend(forecast, f": the {m}-divided germ would have {forecast} simples")
+    # Where Δ is an identity the forecast is 1 for every m; each object holds m factors.
+    if m > MAX_WORD_FACTORS:
+        raise BudgetExceeded(
+            f"the {m}-divided germ exceeds the {MAX_WORD_FACTORS}-factor computation limit"
+        )
     objs = enumerate_subdivisions(germ, m)
     object_ix = {f: i for i, f in enumerate(objs)}
     # The 2m-subdivision (s_1, d_1, ..., s_m, d_m) is the ladder with columns

@@ -629,27 +629,6 @@ def components(germ: GarsideGerm) -> list[list[int]]:
     return sorted(sorted(g) for g in groups.values())
 
 
-def subdivisions_of(germ: GarsideGerm, oid: int, m: int) -> list[tuple[int, ...]]:
-    """All m-subdivisions of Δ at one object, in id-lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    below_delta = germ.divisors[germ.delta[oid]]
-
-    def extend(prefix: list[int], done: int, rest: int) -> None:
-        # `done` is the product of the prefix; rest factors still to choose.
-        remainder = below_delta[done]
-        if rest == 1:
-            out.append(tuple(prefix + [remainder]))
-            return
-        for u in germ.divisors[remainder]:
-            step = germ.product_of(done, u)
-            if step is None:
-                raise InternalError("a divisor of the rest of delta does not extend the prefix")
-            extend(prefix + [u], step, rest - 1)
-
-    extend([], germ.identity[oid], m)
-    return sorted(out)
-
-
 def chain_counts(germ: GarsideGerm, oid: int) -> list[int]:
     """
     N_0, ..., N_d at one object: N_n strict chains 1 < u_1 < ... < u_n ≼ Δ_x
@@ -672,7 +651,26 @@ def chain_counts(germ: GarsideGerm, oid: int) -> list[int]:
 
 
 def enumerate_subdivisions(germ: GarsideGerm, m: int) -> list[tuple[int, ...]]:
-    """All m-subdivisions of every Δ_x, in id-lexicographic order."""
+    """
+    All m-subdivisions of every Δ_x, in id-lexicographic order. The walk keeps
+    its prefixes as nested pairs (last factor, the prefix before it) on an
+    explicit stack, so it needs no recursion and copies no prefix, whatever m.
+    """
     if m < 1:
         raise GermError("m must be a positive integer")
-    return sorted(f for o in germ.objects for f in subdivisions_of(germ, o.id, m))
+    out = []
+    # (prefix, its product, the number of factors still to choose)
+    stack = [(None, germ.identity[obj.id], m) for obj in germ.objects]
+    while stack:
+        prefix, done, rest = stack.pop()
+        remainder = germ.divisors[germ.delta[germ.simples[done].source]][done]
+        if rest > 1:
+            for u in germ.divisors[remainder]:
+                stack.append(((u, prefix), germ.product[(done, u)], rest - 1))
+            continue
+        factors = [remainder]
+        while prefix:
+            u, prefix = prefix
+            factors.append(u)
+        out.append(tuple(reversed(factors)))
+    return sorted(out)

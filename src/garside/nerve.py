@@ -5,15 +5,18 @@ Simplices are composable tuples (f_1, ..., f_n) of simples whose product
 left-divides Δ at the basepoint; since every simple at an object divides Δ
 there, a tuple is a simplex exactly when all its partial products are defined
 in the germ. The unique factor completing the product to Δ makes the
-n-simplices the (n+1)-subdivisions of Δ without their last factor, and they
-are enumerated so. Nondegenerate simplices have no identity factor and
-biject with strict chains 1 < u_1 < ... < u_n ≤ Δ, so they are counted
-from `chain_counts` without being listed.
+n-simplices the (n+1)-subdivisions of Δ without their last factor.
+Nondegenerate simplices have no identity factor and biject with strict
+chains 1 < u_1 < ... < u_n ≼ Δ: `chain_counts` counts them and
+`enumerate_nondegenerate` lists them, each in one walk of the chains. No
+request lists the degenerate simplices.
 
-Also here: the special degeneracy (complete the product to Δ) and first face
-operators with their cyclic-shift identities, the counting polynomial
-Z(m) = |D_m| read off the nondegenerate simplex counts, and the bounded
-universal-cover ball export.
+The special degeneracy (complete the product to Δ) and the first face
+satisfy two cyclic identities in every dimension; `check_cyclic_identities`
+proves them from one 2-simplex and one 1-simplex per simple. Also here: the
+counting polynomial Z(m) = |D_m| read off the nondegenerate simplex counts,
+and the bounded universal-cover ball, whose vertices are the greedy words
+w·Δ^k and whose edges come from one normal form per word and simple.
 """
 
 from __future__ import annotations
@@ -22,15 +25,8 @@ from itertools import zip_longest
 from math import comb
 from typing import NamedTuple
 
-from .germ import (
-    GarsideGerm,
-    GermError,
-    InternalError,
-    as_budget,
-    chain_counts,
-    enumerate_subdivisions,
-)
-from .words import NormalForm, format_word, identity_nf, multiply, target
+from .germ import GarsideGerm, GermError, InternalError, as_budget, chain_counts
+from .words import NormalForm, format_word, multiply
 
 
 class NerveSimplex(NamedTuple):
@@ -56,24 +52,28 @@ def nondegenerate_counts(germ: GarsideGerm) -> list[int]:
     return [sum(col) for col in zip_longest(*per_object, fillvalue=0)]
 
 
-def enumerate_simplices(germ: GarsideGerm, n: int) -> list[NerveSimplex]:
-    """All n-simplices of the Garside nerve (identity factors allowed)."""
-    if n < 0:
+def enumerate_nondegenerate(germ: GarsideGerm, up_to_dim: int) -> list[list[NerveSimplex]]:
+    """
+    The nondegenerate n-simplices for n = 0 … up_to_dim, one sorted list per
+    n, ending before the first n that has none: the strict chains
+    1 < u_1 < ... < u_n ≼ Δ_x, grown by the non-identity divisors of the rest
+    of Δ_x as in `chain_counts`, with each chain kept.
+    """
+    if up_to_dim < 0:
         raise GermError("dimension must be non-negative")
-    simplices = [
-        NerveSimplex(germ.simples[f[0]].source, f[:-1])
-        for f in enumerate_subdivisions(germ, n + 1)
-    ]
-    return sorted(simplices, key=lambda sx: (sx.basepoint, sx.factors))
-
-
-def enumerate_nondegenerate(germ: GarsideGerm, n: int) -> list[NerveSimplex]:
-    """Simplices with no identity factor: strict chains 1 < u_1 < ... < u_n ≤ Δ."""
-    return [
-        sx
-        for sx in enumerate_simplices(germ, n)
-        if all(not germ.is_identity(s) for s in sx.factors)
-    ]
+    levels: list[list[NerveSimplex]] = []
+    frontier = [(obj.id, (), germ.identity[obj.id]) for obj in germ.objects]
+    while frontier:
+        levels.append(sorted(NerveSimplex(x, f) for x, f, _ in frontier))
+        if len(levels) > up_to_dim:
+            break
+        frontier = [
+            (x, f + (q,), germ.product[(u, q)])
+            for x, f, u in frontier
+            for q in germ.divisors[germ.divisors[germ.delta[x]][u]]
+            if germ.simples[q].length
+        ]
+    return levels
 
 
 def special_degeneracy(germ: GarsideGerm, sx: NerveSimplex) -> NerveSimplex:
@@ -102,41 +102,35 @@ class CyclicReport(NamedTuple):
         return not self.shift_counterexamples and not self.power_counterexamples
 
 
-def check_cyclic_identities(germ: GarsideGerm, up_to_dim: int) -> CyclicReport:
+def check_cyclic_identities(germ: GarsideGerm) -> CyclicReport:
     """
     (a) degeneracy-after-face is the φ-twisted cyclic shift on Δ-subdivisions;
     (b) (n+1)-fold face-after-degeneracy applies φ factor-wise on n-simplices.
-    It visits Σ_k N_k·C(up_to_dim + 1, k + 1) simplices, spent from the default budget first.
+
+    Both hold in every dimension once (a) holds on the 2-subdivision (s, s̄)
+    of every simple s, which is checked here with (b) on every 1-simplex (s).
+    (a): if s_1·s_2⋯s_n = Δ_x, then s_2⋯s_n = s̄_1 by left cancellation, so the
+    factor completing it after d_0 is complement(s̄_1), whatever n is; (a) on
+    (s_1, s̄_1) says that this factor is φ(s_1). (b): one face-after-degeneracy
+    takes the n-simplex (s_1, …, s_n), completed by c, to (s_2, …, s_n, c),
+    completed by φ(s_1) by (a). So it rotates the subdivision (s_1, …, s_n, c)
+    one place with a φ-twist, and n+1 rotations twist every factor once.
     """
-    if up_to_dim < 0:
-        raise GermError("dimension must be non-negative")
-    total = sum(n * comb(up_to_dim + 1, k + 1) for k, n in enumerate(nondegenerate_counts(germ)))
-    as_budget(None).spend(total, f": the cyclic-identity check would visit {total} simplices")
-    checked = 0
     bad_shift: list[NerveSimplex] = []
     bad_power: list[NerveSimplex] = []
-    for n in range(up_to_dim + 1):
-        for sx in enumerate_simplices(germ, n):
-            checked += 1
-            if n >= 1:
-                if germ.is_delta(germ.fold_product(germ.identity[sx.basepoint], sx.factors)):
-                    got = special_degeneracy(germ, face_zero(germ, sx))
-                    want = NerveSimplex(
-                        germ.simples[sx.factors[0]].target,
-                        sx.factors[1:] + (germ.phi_simple[sx.factors[0]],),
-                    )
-                    if got != want:
-                        bad_shift.append(sx)
-            cur = sx
-            for _ in range(n + 1):
-                cur = face_zero(germ, special_degeneracy(germ, cur))
-            want = NerveSimplex(
-                germ.phi_obj[sx.basepoint],
-                tuple(germ.phi_simple[s] for s in sx.factors),
-            )
-            if cur != want:
-                bad_power.append(sx)
-    return CyclicReport(checked, bad_shift, bad_power)
+    for s in germ.simples:
+        bar = germ.complement(s.id)
+        sx = NerveSimplex(s.source, (s.id, bar))
+        if special_degeneracy(germ, face_zero(germ, sx)) != NerveSimplex(
+            s.target, (bar, germ.phi_simple[s.id])
+        ):
+            bad_shift.append(sx)
+        edge = cur = NerveSimplex(s.source, (s.id,))
+        for _ in range(2):
+            cur = face_zero(germ, special_degeneracy(germ, cur))
+        if cur != NerveSimplex(germ.phi_obj[s.source], (germ.phi_simple[s.id],)):
+            bad_power.append(edge)
+    return CyclicReport(2 * len(germ.simples), bad_shift, bad_power)
 
 
 class ZPolynomial:
@@ -194,83 +188,76 @@ class CoverBall(NamedTuple):
     edges: list[tuple[int, int]]    # indices into vertices, i < j
 
 
-def cover_ball_size(germ: GarsideGerm, basepoint: int, radius: int) -> int:
-    """
-    The vertex count Σ_{l ≤ r} G_l·(r − l + 1) of the cover ball: a vertex is
-    s_1…s_l·Δ^k with k ≤ r − l, and G_l counts the greedy s_1…s_l out of the
-    basepoint, no factor an identity or a Δ, by a DP over the last factor.
-    The ball's search forms one product per vertex and non-identity simple at
-    its target (φ keeps out-degrees); those are spent from the default budget
-    level by level, so the DP stops once they pass it.
-    """
-    inner = [[s for s in out if germ.simples[s].length and not germ.is_delta(s)]
-             for out in germ.by_source]
-    follow = {germ.identity[basepoint]: inner[basepoint]}    # a -> the b with a·b greedy
-    count = {germ.identity[basepoint]: 1}                    # last factor -> G_l
-    vertices = products = 0
-    for spare in range(radius, -1, -1):                      # spare = r − l
-        if not count:
-            break
-        vertices += (spare + 1) * sum(count.values())
-        products += (spare + 1) * sum(
-            n * (len(germ.by_source[germ.simples[a].target]) - 1) for a, n in count.items()
-        )
-        as_budget(None).spend(products, f": the cover ball of radius {radius} would form "
-                              f"at least {products} products")
-        nxt: dict[int, int] = {}
-        for a, n in count.items():
-            if a not in follow:
-                bar = germ.complement(a)
-                follow[a] = [b for b in inner[germ.simples[a].target]
-                             if germ.is_identity(germ.meet(bar, b))]
-            for b in follow[a]:
-                nxt[b] = nxt.get(b, 0) + n
-        count = nxt
-    return vertices
-
-
 def cover_ball(germ: GarsideGerm, basepoint: int, radius: int) -> CoverBall:
     """
     Positive morphisms from the basepoint with sup ≤ radius; edges join f, g
     when f^{-1}g or g^{-1}f is simple, that is when g = f·s or f = g·s for a
-    non-identity simple s (Δ included). The breadth-first search computes
-    every such f·s inside the ball, so it records the edges as it goes; its
-    vertex count must match `cover_ball_size`, which spends its products first.
+    non-identity simple s (Δ included).
+
+    The vertices are w·Δ^k, k ≤ r − l, for the greedy words w = s_1…s_l out
+    of the basepoint (no factor an identity or a Δ), made level by level.
+    Before each next level, the products the edges need (one per vertex and
+    non-identity simple at its target; φ keeps out-degrees) are spent from
+    the default budget. As w·Δ^k·s = w·φ^{-k}(s)·Δ^k, the edges out of
+    w·Δ^k are those out of w shifted by Δ^k: one normal form w·t per word w
+    and simple t gives them all. Where Δ is an identity, Δ^k is that
+    identity and no other simple leaves the basepoint: the ball is one vertex.
     """
     if radius < 0:
         raise GermError("radius must be non-negative")
-    size = cover_ball_size(germ, basepoint, radius)
-    seen = {identity_nf(basepoint)}
-    frontier = list(seen)
-    steps = set()
-    while frontier:
-        new = []
-        for f in frontier:
-            at = target(germ, f)
-            for sid in germ.by_source[at]:
-                if germ.is_identity(sid):
-                    continue
-                g = multiply(germ, f, NormalForm(at, (sid,), 0))
-                if g.sup <= radius:
-                    steps.add((f, g))
-                    if g not in seen:
-                        seen.add(g)
-                        new.append(g)
-        frontier = new
-    if len(seen) != size:
-        raise InternalError(f"the cover ball has {len(seen)} vertices, forecast {size}")
-    vertices = sorted(seen, key=lambda f: (f.sup, f.delta_exp, f.factors))
+    simples = germ.simples
+    inner = [[s for s in out if simples[s].length and not germ.is_delta(s)]
+             for out in germ.by_source]
+    start = germ.identity[basepoint]
+    follow = {start: inner[basepoint]}                 # a -> the b with a·b greedy
+    levels: list[list[tuple[int, ...]]] = []           # the greedy words by length
+    words: list[tuple[int, ...]] = [()]
+    products = 0
+    for spare in range(radius, -1, -1):                # spare = r − l at level l
+        if not words:
+            break
+        ends = [w[-1] if w else start for w in words]
+        products += (spare + 1) * sum(len(germ.by_source[simples[a].target]) - 1 for a in ends)
+        as_budget(None).spend(products, f": the cover ball of radius {radius} would form "
+                              f"at least {products} products")
+        levels.append(words)
+        nxt = []
+        for w, a in zip(words, ends):
+            if a not in follow:
+                bar = germ.complement(a)
+                follow[a] = [b for b in inner[simples[a].target]
+                             if germ.is_identity(germ.meet(bar, b))]
+            nxt.extend(w + (b,) for b in follow[a])
+        words = nxt
+
+    top = 0 if germ.is_identity(germ.delta[basepoint]) else radius
+    vertices = sorted(
+        (NormalForm(basepoint, w, k) for l, level in enumerate(levels) for w in level
+         for k in range(min(top, radius - l) + 1)),
+        key=lambda f: (f.sup, f.delta_exp, f.factors),
+    )
     index = {f: i for i, f in enumerate(vertices)}
-    edges = sorted({tuple(sorted((index[f], index[g]))) for f, g in steps})
-    return CoverBall(basepoint, radius, vertices, edges)
+    edges = []        # no pair twice: g = f·s fixes s, and f = g·s' cannot hold too
+    for level in levels:
+        for w in level:
+            at = simples[w[-1]].target if w else basepoint
+            for t in germ.by_source[at]:
+                if not simples[t].length:
+                    continue
+                g = multiply(germ, NormalForm(basepoint, w, 0), NormalForm(at, (t,), 0))
+                for k in range(radius - g.sup + 1):
+                    i = index[NormalForm(basepoint, w, k)]
+                    j = index[NormalForm(basepoint, g.factors, g.delta_exp + k)]
+                    edges.append((i, j) if i < j else (j, i))
+    return CoverBall(basepoint, radius, vertices, sorted(edges))
 
 
 # -- exports -----------------------------------------------------------------
 
 def nerve_export_lines(germ: GarsideGerm, up_to_dim: int) -> list[str]:
     lines = []
-    for n in range(up_to_dim + 1):
-        for sx in enumerate_nondegenerate(germ, n):
+    for n, level in enumerate(enumerate_nondegenerate(germ, up_to_dim)):
+        for sx in level:
             names = " ".join(germ.simple_name(s) for s in sx.factors)
             lines.append(
                 f"simplex {n} @ {germ.object_name(sx.basepoint)} : {names}".rstrip()

@@ -892,6 +892,36 @@ def walk_simplices(germ, n: int) -> list[tuple[int, tuple[int, ...]]]:
     return sorted(out)
 
 
+# -- the cover-ball search that the greedy-word levels replaced -----------------
+
+def bfs_cover_ball(germ, basepoint: int, radius: int) -> tuple[list[NormalForm], list[tuple[int, int]]]:
+    """
+    Vertices and edges of the cover ball by breadth-first search: every
+    f·s with s a non-identity simple and sup ≤ radius, one product per
+    vertex and simple, the vertices in (sup, inf, factors) order.
+    """
+    seen = {identity_nf(basepoint)}
+    frontier = list(seen)
+    steps = set()
+    while frontier:
+        new = []
+        for f in frontier:
+            at = target(germ, f)
+            for sid in germ.by_source[at]:
+                if germ.is_identity(sid):
+                    continue
+                g = multiply(germ, f, NormalForm(at, (sid,), 0))
+                if g.sup <= radius:
+                    steps.add((f, g))
+                    if g not in seen:
+                        seen.add(g)
+                        new.append(g)
+        frontier = new
+    vertices = sorted(seen, key=lambda f: (f.sup, f.delta_exp, f.factors))
+    index = {f: i for i, f in enumerate(vertices)}
+    return vertices, sorted({tuple(sorted((index[f], index[g]))) for f, g in steps})
+
+
 # -- the subdivision counts that strict chains replaced -------------------------
 
 def walk_count_subdivisions(germ, m: int) -> dict[int, int]:

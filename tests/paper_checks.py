@@ -1,12 +1,16 @@
 """Paper facts that no subcommand computes with: the subdivision lemma
-D_eq ≅ D_e(𝒢_q) and the rank-2 germ's missing least common multiple at x."""
+D_eq ≅ D_e(𝒢_q), the rank-2 germ's missing least common multiple at x, and
+the cyclic identities of the nerve on every simplex up to a dimension."""
 
 from typing import NamedTuple
 
 from garside.conjugacy import fixed_subgerm
 from garside.divided import DividedGerm, DividedObject, build_divided_germ
 from garside.germ import GarsideGerm, GermError, InternalError
+from garside.nerve import CyclicReport, NerveSimplex, face_zero, special_degeneracy
 from garside.words import NormalForm, identity_nf, invert, is_loop, multiply, target
+
+import oracles
 
 
 # -- the subdivision isomorphism D_eq(C) ≅ D_e(C_q) ------------------------
@@ -188,3 +192,34 @@ def common_multiple_report(
         "common_multiples": multiples,
         "least": least,
     }
+
+
+# -- the cyclic identities of the nerve on every simplex ---------------------
+
+def cyclic_identities_on_every_simplex(germ: GarsideGerm, up_to_dim: int) -> CyclicReport:
+    """
+    The identities `nerve.check_cyclic_identities` proves from one simplex per
+    simple, checked on every simplex of dimension ≤ up_to_dim, degenerate
+    ones included: (a) on the simplices whose product is Δ, (b) on all.
+    """
+    checked = 0
+    bad_shift: list[NerveSimplex] = []
+    bad_power: list[NerveSimplex] = []
+    for n in range(up_to_dim + 1):
+        for sx in map(NerveSimplex._make, oracles.walk_simplices(germ, n)):
+            checked += 1
+            if n >= 1 and germ.is_delta(germ.fold_product(germ.identity[sx.basepoint], sx.factors)):
+                got = special_degeneracy(germ, face_zero(germ, sx))
+                want = NerveSimplex(
+                    germ.simples[sx.factors[0]].target,
+                    sx.factors[1:] + (germ.phi_simple[sx.factors[0]],),
+                )
+                if got != want:
+                    bad_shift.append(sx)
+            cur = sx
+            for _ in range(n + 1):
+                cur = face_zero(germ, special_degeneracy(germ, cur))
+            want = NerveSimplex(germ.phi_obj[sx.basepoint], tuple(germ.phi_simple[s] for s in sx.factors))
+            if cur != want:
+                bad_power.append(sx)
+    return CyclicReport(checked, bad_shift, bad_power)

@@ -232,20 +232,39 @@ def test_nerve_counts_above_the_dimension_are_zero(capsys):
     assert "nondegenerate_3: 2\nnondegenerate_4: 0\nnondegenerate_5: 0\neuler: 0\n" in out
 
 
-@pytest.mark.parametrize("argv,visits", [
-    # artin5 at its dimension 10
-    (["--builtin", "artin_symmetric", "--param", "5"], 68_772_196),
-    # a2: Σ_k N_k·C(10^9 + 1, k + 1) with N = (1, 5, 6, 2)
-    (["--file", A2, "--dim", "1000000000"], 83333334166666669083333336000000001),
-])
-def test_nerve_check_over_the_default_budget_exits_3(capsys, argv, visits):
-    assert main(["nerve", *argv]) == 3
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == (
+def test_nerve_answers_artin5_at_its_dimension(capsys):
+    # its count lines and an O(|S|) cyclic-identity check; no simplex is listed
+    code, out = run(capsys, "nerve", "--builtin", "artin_symmetric", "--param", "5")
+    assert code == 0
+    assert out.startswith("garside_dimension: 10\nnondegenerate_0: 1\n")
+    assert out.endswith("nondegenerate_10: 768\neuler: 0\ncyclic_identities: ok\n")
+
+
+def test_nerve_spends_its_lines_from_the_default_budget(capsys, tmp_path, monkeypatch):
+    assert main(["nerve", "--file", A2, "--dim", "1000000000"]) == 3
+    assert capsys.readouterr() == ("", (
         "error: computation budget exceeded (2000000 steps): "
-        f"the cyclic-identity check would visit {visits} simplices\n"
-    )
+        "nerve would print 1000000001 simplex counts\n"
+    ))
+    # at a budget of 20: 20 count lines pass; 6 count lines and the 14
+    # simplices of A₂ pass with --out, 7 count lines and 14 simplices do not
+    import garside.cli
+
+    monkeypatch.setattr(garside.cli, "DEFAULT_BUDGET", 20)
+    out_file = tmp_path / "nerve.txt"
+    assert main(["nerve", "--file", A2, "--dim", "19"]) == 0
+    assert main(["nerve", "--file", A2, "--dim", "5", "--out", str(out_file)]) == 0
+    assert len(out_file.read_text().splitlines()) == 14
+    capsys.readouterr()
+    assert main(["nerve", "--file", A2, "--dim", "20"]) == 3
+    assert capsys.readouterr().err.endswith("nerve would print 21 simplex counts\n")
+    out_file.unlink()
+    assert main(["nerve", "--file", A2, "--dim", "6", "--out", str(out_file)]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: computation budget exceeded (20 steps): "
+        "the simplex list would hold 14 simplices\n"
+    ))
+    assert not out_file.exists()
 
 
 def test_zpoly(capsys):

@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +17,7 @@ from garside import (
     table_to_text,
     validate,
 )
+from garside.cli import main
 from garside.conjugacy import fixed_subgerm
 from garside.divided import (
     build_divided_germ,
@@ -24,7 +27,7 @@ from garside.divided import (
     theta_object,
     tuple_name,
 )
-from garside.words import NormalForm, delta_power_nf, identity_nf, invert
+from garside.words import MAX_WORD_FACTORS, NormalForm, delta_power_nf, identity_nf, invert
 
 import oracles
 from paper_checks import subdivision_iso
@@ -55,6 +58,35 @@ def test_divided_germ_over_budget_is_refused_before_building(a2, monkeypatch):
     assert str(exc.value) == (
         "computation budget exceeded (105 steps): the 3-divided germ would have 106 simples"
     )
+
+
+POINT = Path(__file__).parent / "data" / "point.germ"
+
+
+def test_subdivisions_need_no_recursion():
+    # Δ is the identity: one m-subdivision for every m, its m identities
+    point = validate(parse_germ(POINT.read_text(encoding="utf-8")))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        subs = enumerate_subdivisions(point, 5000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert subs == [(point.identity[0],) * 5000]
+
+
+def test_divided_germ_past_the_word_limit_is_refused(capsys):
+    point = validate(parse_germ(POINT.read_text(encoding="utf-8")))
+    assert len(build_divided_germ(point, 5000).objects[0]) == 5000
+    with pytest.raises(BudgetExceeded, match=f"exceeds the {MAX_WORD_FACTORS}-factor"):
+        build_divided_germ(point, MAX_WORD_FACTORS + 1)
+    assert main(["divide", "--file", str(POINT), "--m", "1000000000"]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: the 1000000000-divided germ exceeds the 65536-factor computation limit\n"
+    ))
+    # the |D_2m| forecast comes first
+    assert main(["divide", "--file", str(POINT.with_name("a2.germ")), "--m", "1000000000"]) == 3
+    assert "the 1000000000-divided germ would have" in capsys.readouterr().err
 
 
 def test_enumerate_counts_a2(a2):
@@ -301,11 +333,9 @@ def test_enumerate_matches_count_on_builtins(dual3, chamber3):
 
 def test_divided_nerve_counts_are_base_subdivisions(a2, a2_div2, a2_div3):
     # (k-1)-simplices of the divided nerve are km-fold subdivisions of the base
-    from garside.nerve import enumerate_simplices
-
     for dg in (a2_div2, a2_div3):
         for k in (1, 2, 3):
-            assert len(enumerate_simplices(dg.germ, k - 1)) == sum(
+            assert len(oracles.walk_simplices(dg.germ, k - 1)) == sum(
                 count_subdivisions(a2, k * dg.m).values()
             )
 

@@ -1,3 +1,4 @@
+import copy
 import sys
 from fractions import Fraction
 from math import comb
@@ -5,10 +6,10 @@ from math import comb
 import pytest
 
 from garside import builtins as germ_builtins
-from garside import nerve, parse_germ, validate
+from garside import NormalForm, parse_germ, validate
 from garside.cli import main
 from garside.divided import count_subdivisions
-from garside.germ import BudgetExceeded, GermError, InternalError, enumerate_subdivisions
+from garside.germ import BudgetExceeded, GermError, enumerate_subdivisions
 from garside.nerve import (
     NerveSimplex,
     ZPolynomial,
@@ -16,9 +17,7 @@ from garside.nerve import (
     check_cyclic_identities,
     cover_ball,
     cover_ball_dot,
-    cover_ball_size,
     enumerate_nondegenerate,
-    enumerate_simplices,
     face_zero,
     fit_z_polynomial,
     garside_dimension,
@@ -28,6 +27,7 @@ from garside.nerve import (
 )
 
 import oracles
+from paper_checks import cyclic_identities_on_every_simplex
 
 
 def test_garside_dimension(a2, rank2, free_loop, artin4):
@@ -86,14 +86,17 @@ def test_dimension_identity_only_germ():
 
 
 def test_nondegenerate_counts_a2(a2):
-    counts = [len(enumerate_nondegenerate(a2, n)) for n in range(5)]
-    assert counts == [1, 5, 6, 2, 0]
+    # the levels end before dimension 4, which has no simplex
+    counts = [len(level) for level in enumerate_nondegenerate(a2, 4)]
+    assert counts == [1, 5, 6, 2]
     assert sum((-1) ** n * c for n, c in enumerate(counts)) == 0
+    assert [len(level) for level in enumerate_nondegenerate(a2, 1)] == [1, 5]
 
 
 def test_nondegenerate_are_strict_chains(a2):
-    for n in range(4):
-        for sx in enumerate_nondegenerate(a2, n):
+    for n, level in enumerate(enumerate_nondegenerate(a2, 3)):
+        for sx in level:
+            assert len(sx.factors) == n
             prefix = a2.identity[sx.basepoint]
             seen = {prefix}
             for sid in sx.factors:
@@ -118,7 +121,7 @@ def test_rank2_counts_match_chain_oracle(rank2):
             ]
         return len(out)
 
-    counts = [len(enumerate_nondegenerate(rank2, n)) for n in range(4)]
+    counts = [len(level) for level in enumerate_nondegenerate(rank2, 3)]
     assert counts == [
         sum(chains(obj.id, n) for obj in rank2.objects) for n in range(4)
     ]
@@ -145,7 +148,8 @@ def test_face_zero_rebases(rank2):
 def test_special_degeneracy_image_is_subdivisions(a2):
     for n in (1, 2):
         image = {
-            special_degeneracy(a2, sx).factors for sx in enumerate_simplices(a2, n)
+            special_degeneracy(a2, NerveSimplex(*sx)).factors
+            for sx in oracles.walk_simplices(a2, n)
         }
         assert image == set(enumerate_subdivisions(a2, n + 1))
 
@@ -153,28 +157,48 @@ def test_special_degeneracy_image_is_subdivisions(a2):
 @pytest.mark.parametrize("germ_name", ["a2", "dual3", "free_loop", "rank2"])
 def test_cyclic_identities(germ_name, request):
     germ = request.getfixturevalue(germ_name)
-    report = check_cyclic_identities(germ, 3)
+    report = check_cyclic_identities(germ)
     assert report.ok
-    # the forecast it spends: Σ_k N_k·C(4, k + 1)
+    # one 2-simplex (s, s̄) and one 1-simplex (s) per simple
+    assert report.checked == 2 * len(germ.simples)
+    # every simplex up to dimension 3: Σ_k N_k·C(4, k + 1) of them
+    listed = cyclic_identities_on_every_simplex(germ, 3)
+    assert listed.ok
     counts = nondegenerate_counts(germ)
-    assert report.checked == sum(n * comb(4, k + 1) for k, n in enumerate(counts)) > 0
+    assert listed.checked == sum(n * comb(4, k + 1) for k, n in enumerate(counts)) > 0
 
 
-def test_cyclic_identities_need_a_non_negative_dimension(a2):
+@pytest.mark.parametrize("family,param", [
+    ("artin_symmetric", 3), ("artin_symmetric", 4), ("dual_braid", 3), ("dual_braid", 4),
+    ("dihedral_chamber", 3), ("dihedral_chamber", 6),
+])
+def test_cyclic_identities_hold_on_every_simplex_of_the_builtins(family, param):
+    germ = validate(germ_builtins.build(family, param))
+    assert check_cyclic_identities(germ).ok
+    assert cyclic_identities_on_every_simplex(germ, 3).ok
+
+
+def test_cyclic_identities_catch_a_wrong_shift(a2):
+    # φ replaced by the identity: s̄ is completed by φ(s) = t, not by s.
+    broken = copy.copy(a2)
+    broken.phi_simple = list(range(len(a2.simples)))
+    report = check_cyclic_identities(broken)
+    listed = cyclic_identities_on_every_simplex(broken, 3)
+    assert not report.ok and not listed.ok
+    s, t = a2.simple_named("s"), a2.simple_named("t")
+    assert NerveSimplex(0, (s, a2.complement(s))) in report.shift_counterexamples
+    assert NerveSimplex(0, (t,)) in report.power_counterexamples
+    assert {sx.factors for sx in report.shift_counterexamples} <= {
+        sx.factors for sx in listed.shift_counterexamples
+    }
+
+
+def test_nondegenerate_simplices_need_a_non_negative_dimension(a2):
     with pytest.raises(GermError, match="dimension must be non-negative"):
-        check_cyclic_identities(a2, -1)
+        enumerate_nondegenerate(a2, -1)
     with pytest.raises(GermError, match="dimension must be non-negative"):
-        enumerate_simplices(a2, -1)
-    assert check_cyclic_identities(a2, 0).checked == 1
-
-
-def test_cyclic_identities_spend_the_default_budget(a2, monkeypatch):
-    import garside.germ
-
-    assert check_cyclic_identities(a2, 3).checked == 60
-    monkeypatch.setattr(garside.germ, "DEFAULT_BUDGET", 59)
-    with pytest.raises(BudgetExceeded, match="would visit 60 simplices"):
-        check_cyclic_identities(a2, 3)
+        nerve_export_lines(a2, -1)
+    assert enumerate_nondegenerate(a2, 0) == [[NerveSimplex(0, ())]]
 
 
 def test_double_shift_on_atom(a2):
@@ -271,28 +295,51 @@ def test_cover_ball_edges_match_pairwise_oracle(name, radius, request):
      ("artin4", [1, 24, 211, 1380])],
 )
 def test_cover_ball_size_counts_greedy_sequences(name, sizes, request):
+    # Σ_{l ≤ r} G_l·(r − l + 1), G_l the greedy words of l factors
     germ = request.getfixturevalue(name)
-    assert [cover_ball_size(germ, 0, r) for r in range(4)] == sizes
-    assert len(cover_ball(germ, 0, 3).vertices) == sizes[3]
+    assert [len(cover_ball(germ, 0, r).vertices) for r in range(4)] == sizes
 
 
 def test_cover_ball_spends_its_products_before_the_search(capsys):
-    # artin4 at radius 60: the DP stops at the level where the products the
-    # search would form pass the default budget.
+    # artin4 at radius 60: the words stop at the level where the products
+    # the edges need pass the default budget.
     assert main(["cover", "--builtin", "artin_symmetric", "--param", "4", "--radius", "60"]) == 3
     assert capsys.readouterr() == ("", (
         "error: computation budget exceeded (2000000 steps): the cover ball of radius 60 "
         "would form at least 8811507 products\n"
     ))
     with pytest.raises(BudgetExceeded, match="radius 1000000000000 would form"):
-        cover_ball_size(validate(parse_germ("garside-germ v1\nobject x\n"
-                                            "simple g : x -> x\n")), 0, 10**12)
+        cover_ball(validate(parse_germ("garside-germ v1\nobject x\n"
+                                       "simple g : x -> x\n")), 0, 10**12)
 
 
-def test_cover_ball_checks_its_vertex_count(a2, monkeypatch):
-    monkeypatch.setattr(nerve, "cover_ball_size", lambda germ, basepoint, radius: 18)
-    with pytest.raises(InternalError, match="^the cover ball has 19 vertices, forecast 18$"):
-        cover_ball(a2, 0, 2)
+BFS_CASES = [("a2", r) for r in range(7)] + [
+    ("artin4", 3), ("dual4", 3), ("chamber3", 4), ("rank2", 5)
+]
+
+
+def test_cover_ball_matches_the_bfs_oracle(a2, artin4, chamber3, rank2):
+    germs = {"a2": a2, "artin4": artin4, "chamber3": chamber3, "rank2": rank2,
+             "dual4": validate(germ_builtins.dual_braid(4))}
+    for name, radius in BFS_CASES:
+        germ = germs[name]
+        for x in range(len(germ.objects)):
+            ball = cover_ball(germ, x, radius)
+            assert (ball.vertices, ball.edges) == oracles.bfs_cover_ball(germ, x, radius)
+
+
+def test_cover_ball_where_delta_is_an_identity(a2_text, capsys, tmp_path):
+    # Δ_y = 1_y: Δ^k is the identity for every k, so the ball is one vertex
+    germ = validate(parse_germ(a2_text + "object y\n"))
+    y = germ.object_named("y")
+    for radius in (0, 3, 10**12):
+        ball = cover_ball(germ, y, radius)
+        assert ball.vertices == [NormalForm(y, (), 0)] and ball.edges == []
+    assert len(cover_ball(germ, 0, 3).vertices) == 48
+    path = tmp_path / "x.germ"
+    path.write_text("garside-germ v1\nobject x\n", encoding="utf-8")
+    assert main(["cover", "--file", str(path), "--radius", "3"]) == 0
+    assert capsys.readouterr() == ("vertices: 1\nedges: 0\n", "")
 
 
 def test_cover_ball_vertices_positive(a2):
