@@ -23,7 +23,9 @@ from .germ import (
     components,
     validate,
 )
-from .words import NormalForm, as_loop, delta_power_nf, identity_nf, invert, multiply
+from .words import (
+    NormalForm, as_loop, delta_power_nf, format_word, identity_nf, invert, multiply, report_nf,
+)
 
 
 class ConjugacyWitness(NamedTuple):
@@ -151,7 +153,9 @@ class FixedGermReport(NamedTuple):
         return self.subgerm is None
 
 
-def fixed_subgerm(germ: GarsideGerm, p: int, q: int = 1) -> FixedGermReport:
+def fixed_subgerm(
+    germ: GarsideGerm, p: int, q: int = 1, budget: Budget | int | None = None
+) -> FixedGermReport:
     """
     The φ_q^p-fixed subgerm of 𝒢_q, p = kq + 1, from the base germ (at q = 1 the
     φ^p-fixed subgerm, base names kept): fixed objects and ladders are twists
@@ -167,7 +171,7 @@ def fixed_subgerm(germ: GarsideGerm, p: int, q: int = 1) -> FixedGermReport:
     norm = [germ.simples[d].length for d in germ.delta]
     firsts = [f.id for f in germ.simples if q * f.length == norm[f.source]]
     # Only an object whose Δ is the identity admits q > ‖Δ‖.
-    as_budget(None).spend(q * len(firsts), f": fixed objects of {q} letters")
+    as_budget(budget).spend(q * len(firsts), f": fixed objects of {q} letters")
     twists = (fixed_twist(germ, f, p, q) for f in firsts)
     objs = [t for t in twists if t is not None and germ.fold_product(t[0], t[1:]) is not None]
     if not objs:
@@ -216,3 +220,34 @@ def fixed_subgerm(germ: GarsideGerm, p: int, q: int = 1) -> FixedGermReport:
             if alpha in germ.divisors[inclusion[c][0]] and b1 not in germ.divisors[inclusion[c][0]]:
                 raise InternalError(f"subgerm atom {sub.simple_name(b)!r} is not a psi_* closure")
     return FixedGermReport(sub, objs, inclusion, components(sub), atoms_realized)
+
+
+# -- command-line handlers (cli.COMMANDS) -----------------------------------
+
+def cmd_conj(germ: GarsideGerm, forms, args, rep) -> bool:
+    report_nf(rep, germ, conjugate(germ, *forms), "conjugate")
+    return True
+
+
+def cmd_summit(germ: GarsideGerm, forms, args, rep) -> bool:
+    sset = summit_set(germ, *forms, Budget(args.budget))
+    summit, conjugator = next(iter(sset.items()))
+    report_nf(rep, germ, summit, "summit")
+    rep.add("summit_conjugator", format_word(germ, conjugator))
+    rep.add("summit_set_size", len(sset))
+    for i, h in enumerate(sorted(sset, key=lambda m: (m.source, m.delta_exp, m.factors))):
+        rep.add(f"summit_{i}", format_word(germ, h))
+    return True
+
+
+def cmd_isconj(germ: GarsideGerm, forms, args, rep) -> bool:
+    witness = are_conjugate(germ, *forms, Budget(args.budget))
+    if witness is None:
+        rep.add("conjugate", "no", "not conjugate")
+        return False
+    rep.add("conjugate", "yes", "conjugate")
+    rep.add("witness", format_word(germ, witness.c))
+    return True
+
+
+HANDLERS = {"conj": cmd_conj, "summit": cmd_summit, "isconj": cmd_isconj}

@@ -29,6 +29,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable
 from math import comb
+from pathlib import Path
 from typing import NamedTuple
 
 from .germ import (
@@ -41,9 +42,10 @@ from .germ import (
     assemble_table,
     chain_counts,
     enumerate_subdivisions,
+    table_to_text,
     validate,
 )
-from .words import MAX_WORD_FACTORS, NormalForm, delta_power_nf, normal_form
+from .words import MAX_WORD_FACTORS, NormalForm, delta_power_nf, normal_form, report_nf
 
 DividedObject = tuple[int, ...]
 
@@ -134,10 +136,15 @@ class DividedGerm(NamedTuple):
 def build_divided_germ(
     germ: GarsideGerm, m: int, budget: Budget | int | None = None
 ) -> DividedGerm:
-    """Construct and fully validate the m-divided germ, after spending its |D_2m| simples."""
-    forecast = sum(count_subdivisions(germ, 2 * m).values())
-    as_budget(budget).spend(forecast, f": the {m}-divided germ would have {forecast} simples")
-    # Where Δ is an identity the forecast is 1 for every m; each object holds m factors.
+    """Construct and fully validate the m-divided germ, after spending what it will hold."""
+    # Z(2m) = |D_2m| simples of m columns each, and the products: a product is
+    # a 3m-subdivision (s_i, t_i, d_i/t_i), with a unit factor when all s_i or
+    # all t_i are identities, so Z(3m) − 2·Z(2m) + Z(m) have none.
+    z = [sum(count_subdivisions(germ, n * m).values()) for n in (1, 2, 3)]
+    products = z[2] - 2 * z[1] + z[0]
+    as_budget(budget).spend((m + 1) * z[1] + products, f": the {m}-divided germ would have "
+                            f"{z[1]} simples of {m} columns and {products} products")
+    # Where Δ is an identity the forecast is only m + 1; each object holds m factors.
     if m > MAX_WORD_FACTORS:
         raise BudgetExceeded(
             f"the {m}-divided germ exceeds the {MAX_WORD_FACTORS}-factor computation limit"
@@ -284,3 +291,33 @@ def theta_morphism(dg: DividedGerm, f: NormalForm) -> NormalForm:
     src = theta_object(dg.base, f.source, dg.m)
     return ladder_nf(dg, src, ladders, dg.m * f.delta_exp)
 
+
+# -- command-line handlers (cli.COMMANDS) -----------------------------------
+
+def cmd_divide(germ: GarsideGerm, forms, args, rep) -> bool:
+    counts = count_subdivisions(germ, args.m)
+    total = sum(counts.values())
+    if args.count:
+        rep.add("objects", total, str(total))
+        return True
+    rep.add("m", args.m)
+    rep.add("objects", total)
+    for oid in sorted(counts):
+        rep.add(f"objects_at_{germ.object_name(oid)}", counts[oid])
+    dg = build_divided_germ(germ, args.m, Budget(args.budget))
+    rep.add("simples", len(dg.germ.simples))
+    rep.add("atoms", len(dg.germ.atoms))
+    rep.add("phi_order", dg.germ.phi_order)
+    if args.out:
+        Path(args.out).write_text(table_to_text(dg.germ), encoding="utf-8")
+        rep.add("out", args.out, f"wrote divided germ to {args.out}")
+    return True
+
+
+def cmd_theta(germ: GarsideGerm, forms, args, rep) -> bool:
+    dg = build_divided_germ(germ, args.m, Budget(args.budget))
+    report_nf(rep, dg.germ, theta_morphism(dg, *forms), "theta")
+    return True
+
+
+HANDLERS = {"divide": cmd_divide, "theta": cmd_theta}

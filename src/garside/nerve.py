@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from itertools import zip_longest
 from math import comb
+from pathlib import Path
 from typing import NamedTuple
 
-from .germ import GarsideGerm, GermError, InternalError, as_budget, chain_counts
+from .germ import Budget, GarsideGerm, GermError, InternalError, as_budget, chain_counts, components
 from .words import NormalForm, format_word, multiply
 
 
@@ -163,16 +164,18 @@ class ZPolynomial:
         return sum(c * comb(m - 1, j) for j, c in enumerate(self.head))
 
 
-def fit_z_polynomial(germ: GarsideGerm, samples: int) -> ZPolynomial:
+def fit_z_polynomial(
+    germ: GarsideGerm, samples: int, budget: Budget | int | None = None
+) -> ZPolynomial:
     """
     Z(m) = |D_m|: coefficient n is Σ_x N_n(x) (`chain_counts`), padded with
-    zeros to `samples` terms, one default-budget step each. The degree must
-    be the Garside dimension, found by an independent divisor-DAG walk.
+    zeros to `samples` terms, one budget step each. The degree must be the
+    Garside dimension, found by an independent divisor-DAG walk.
     """
     dim = garside_dimension(germ)
     if samples < dim + 2:
         raise GermError(f"need at least dim+2 = {dim + 2} samples")
-    as_budget(None).spend(samples, f": the polynomial would have {samples} coefficients")
+    as_budget(budget).spend(samples, f": the polynomial would have {samples} coefficients")
     totals = nondegenerate_counts(germ)
     if germ.objects and len(totals) != dim + 1:
         raise InternalError(f"strict chains of length {len(totals) - 1} in dimension {dim}")
@@ -188,7 +191,9 @@ class CoverBall(NamedTuple):
     edges: list[tuple[int, int]]    # indices into vertices, i < j
 
 
-def cover_ball(germ: GarsideGerm, basepoint: int, radius: int) -> CoverBall:
+def cover_ball(
+    germ: GarsideGerm, basepoint: int, radius: int, budget: Budget | int | None = None
+) -> CoverBall:
     """
     Positive morphisms from the basepoint with sup ≤ radius; edges join f, g
     when f^{-1}g or g^{-1}f is simple, that is when g = f·s or f = g·s for a
@@ -198,13 +203,14 @@ def cover_ball(germ: GarsideGerm, basepoint: int, radius: int) -> CoverBall:
     of the basepoint (no factor an identity or a Δ), made level by level.
     Before each next level, the products the edges need (one per vertex and
     non-identity simple at its target; φ keeps out-degrees) are spent from
-    the default budget. As w·Δ^k·s = w·φ^{-k}(s)·Δ^k, the edges out of
+    the budget. As w·Δ^k·s = w·φ^{-k}(s)·Δ^k, the edges out of
     w·Δ^k are those out of w shifted by Δ^k: one normal form w·t per word w
     and simple t gives them all. Where Δ is an identity, Δ^k is that
     identity and no other simple leaves the basepoint: the ball is one vertex.
     """
     if radius < 0:
         raise GermError("radius must be non-negative")
+    budget = as_budget(budget)
     simples = germ.simples
     inner = [[s for s in out if simples[s].length and not germ.is_delta(s)]
              for out in germ.by_source]
@@ -217,9 +223,10 @@ def cover_ball(germ: GarsideGerm, basepoint: int, radius: int) -> CoverBall:
         if not words:
             break
         ends = [w[-1] if w else start for w in words]
-        products += (spare + 1) * sum(len(germ.by_source[simples[a].target]) - 1 for a in ends)
-        as_budget(None).spend(products, f": the cover ball of radius {radius} would form "
-                              f"at least {products} products")
+        level = (spare + 1) * sum(len(germ.by_source[simples[a].target]) - 1 for a in ends)
+        products += level
+        budget.spend(level, f": the cover ball of radius {radius} would form "
+                            f"at least {products} products")
         levels.append(words)
         nxt = []
         for w, a in zip(words, ends):
@@ -288,3 +295,67 @@ def atom_graph_dot(germ: GarsideGerm) -> str:
         lines.append(f'  o{s.source} -> o{s.target} [label="{s.name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# -- command-line handlers (cli.COMMANDS) -----------------------------------
+
+def cmd_validate(germ: GarsideGerm, forms, args, rep) -> bool:
+    rep.add("objects", len(germ.objects))
+    rep.add("simples", len(germ.simples))
+    rep.add("atoms", len(germ.atoms))
+    rep.add("phi_order", germ.phi_order)
+    rep.add("garside_dimension", garside_dimension(germ))
+    rep.add("components", len(components(germ)))
+    if args.out:
+        Path(args.out).write_text(atom_graph_dot(germ), encoding="utf-8")
+        rep.add("out", args.out, f"wrote atom graph to {args.out}")
+    return True
+
+
+def cmd_nerve(germ: GarsideGerm, forms, args, rep) -> bool:
+    dim = garside_dimension(germ)
+    top = args.dim if args.dim is not None else dim
+    if top < 0:
+        raise GermError("dimension must be non-negative")
+    # One budget pays for the count lines and the listed simplices.
+    budget = Budget(args.budget)
+    budget.spend(top + 1, f": nerve would print {top + 1} simplex counts")
+    totals = nondegenerate_counts(germ)[: top + 1]
+    if args.out:
+        listed = sum(totals)
+        budget.spend(listed, f": the simplex list would hold {listed} simplices")
+    cyc = check_cyclic_identities(germ)
+    rep.add("garside_dimension", dim)
+    rep.add_lazy(
+        (f"nondegenerate_{n}", totals[n] if n < len(totals) else 0) for n in range(top + 1)
+    )
+    rep.add("euler", sum((-1) ** n * c for n, c in enumerate(totals)))
+    rep.add("cyclic_identities", "ok" if cyc.ok else "FAIL")
+    if args.out:
+        lines = nerve_export_lines(germ, top)
+        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rep.add("out", args.out, f"wrote {len(lines)} simplices to {args.out}")
+    return True
+
+
+def cmd_zpoly(germ: GarsideGerm, forms, args, rep) -> bool:
+    samples = args.samples if args.samples is not None else garside_dimension(germ) + 2
+    z = fit_z_polynomial(germ, samples, Budget(args.budget))
+    rep.add("degree", z.degree)
+    rep.add("newton_coefficients", (" ".join(map(str, z.head)) + " 0" * z.zeros).lstrip())
+    rep.add_lazy((f"Z({m})", z(m)) for m in range(1, samples + 3))
+    return True
+
+
+def cmd_cover(germ: GarsideGerm, forms, args, rep) -> bool:
+    basepoint = germ.object_named(args.source) if args.source else 0
+    ball = cover_ball(germ, basepoint, args.radius, Budget(args.budget))
+    rep.add("vertices", len(ball.vertices))
+    rep.add("edges", len(ball.edges))
+    if args.out:
+        Path(args.out).write_text(cover_ball_dot(germ, ball), encoding="utf-8")
+        rep.add("out", args.out, f"wrote DOT graph to {args.out}")
+    return True
+
+
+HANDLERS = {"validate": cmd_validate, "nerve": cmd_nerve, "zpoly": cmd_zpoly, "cover": cmd_cover}

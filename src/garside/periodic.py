@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .germ import Budget, GarsideGerm, GermError, InternalError, as_budget
-from .words import NormalForm, as_loop, delta_power_nf, multiply, normal_form
+from .germ import Budget, BudgetExceeded, GarsideGerm, GermError, InternalError, as_budget
+from .words import (
+    MAX_WORD_FACTORS, NormalForm, as_loop, delta_power_nf, format_word, multiply, normal_form,
+)
 
 if TYPE_CHECKING:  # imported where used, so a periodicity test loads neither module
     from .conjugacy import FixedGermReport
@@ -57,7 +59,8 @@ def is_periodic(
         budget.spend(len(cur.factors) + len(gamma.factors),
                      f": raising the word to the power {q} reached power {j}")
         cur, j = multiply(germ, cur, gamma), j + 1
-    if q % j == 0 and cur.delta_exp * (q // j) == p:
+    exponent = 0 if germ.is_identity(germ.delta[gamma.source]) else p  # Δ^p = 1 where Δ = 1
+    if q % j == 0 and cur.delta_exp * (q // j) == exponent:
         return PeriodicityCertificate(gamma, p, q)
     return None
 
@@ -102,6 +105,10 @@ def find_bestvina_form(
     if (p - 1) % q != 0:
         return NoLengthOneRepresentative(f"p = {p} is not congruent to 1 mod q = {q}")
     k = (p - 1) // q
+    # q·len(s) = ‖Δ‖, so only where Δ is an identity can q pass the word limit
+    if q > MAX_WORD_FACTORS:
+        raise BudgetExceeded(f"a {q}-letter Bestvina object exceeds the "
+                             f"{MAX_WORD_FACTORS}-factor computation limit")
     summits = summit_set(germ, cert.gamma, budget)
     candidates = sorted(summits, key=lambda m: (m.delta_exp, m.factors))
     if cert.gamma in summits:
@@ -113,7 +120,8 @@ def find_bestvina_form(
         if h.canonical_length == 1:
             s, kk = h.factors[0], h.delta_exp
         else:
-            s, kk = germ.delta[h.source], h.delta_exp - 1
+            s = germ.delta[h.source]
+            kk = h.delta_exp - 1 if germ.simples[s].length else k  # Δ = 1: h = Δ·Δ^k
         if kk != k:
             continue
         bf = BestvinaForm(s, kk, q, summits[h])
@@ -160,15 +168,20 @@ def necklace_conjugator(
     germ: GarsideGerm,
     bf: BestvinaForm,
     dg: DividedGerm | None = None,
+    budget: Budget | int | None = None,
 ) -> NecklaceConjugation:
     """
     Build c = ψ(β₂) from (ε, ..., ε, s₁...s_q) and verify
-    Θ_q(sΔ^k)·c = c·Δ_q^p by normal-form equality.
+    Θ_q(sΔ^k)·c = c·Δ_q^p by normal-form equality, after spending one step
+    per column of the ladders β₂ slides.
     """
     from .divided import build_divided_germ, ladder_nf, slide, theta_morphism, theta_object
     q, p = bf.q, bf.q * bf.k + 1
+    budget = as_budget(budget)
     if dg is None:
-        dg = build_divided_germ(germ, q)
+        dg = build_divided_germ(germ, q, budget)
+    n = q * (q - 1) // 2  # the length of β₂
+    budget.spend(q * n, f": the necklace would slide {n} ladders of {q} columns")
     letters = bestvina_object(germ, bf)
     start = theta_object(germ, germ.simples[bf.s].source, q)
     ladders, end, final = slide(dg, start, ((),) * (q - 1) + (letters,), beta2_slides(q))
@@ -180,7 +193,8 @@ def necklace_conjugator(
 
     gamma = normal_form(germ, [bf.s], bf.k)
     theta = theta_morphism(dg, gamma)
-    dpow = delta_power_nf(dg.object_of(letters), p)
+    oid = dg.object_of(letters)  # Δ_q^p in normal form, the identity where Δ_q = 1
+    dpow = delta_power_nf(oid, 0 if dg.germ.is_identity(dg.germ.delta[oid]) else p)
     if multiply(dg.germ, theta, c) != multiply(dg.germ, c, dpow):
         raise InternalError("necklace conjugation equation failed verification")
     return NecklaceConjugation(bf, dg, c, theta, dpow)
@@ -196,22 +210,85 @@ class PeriodicClassification(NamedTuple):
     representatives: list[NormalForm]       # one (f_1; k) loop per component
 
 
-def classify_periodic(germ: GarsideGerm, p: int, q: int) -> PeriodicClassification:
+def classify_periodic(
+    germ: GarsideGerm, p: int, q: int, budget: Budget | int | None = None
+) -> PeriodicClassification:
     """
     Conjugacy classes of p/q-periodic loops, as connected components of the
     φ_q^p-fixed subgerm of the q-divided germ, built from the base germ.
     """
     from .conjugacy import fixed_subgerm
-    fixed = fixed_subgerm(germ, p, q)
+    fixed = fixed_subgerm(germ, p, q, budget)
     k = (p - 1) // q
     comps = sorted(sorted(fixed.object_inclusion[o] for o in comp) for comp in fixed.components)
     return PeriodicClassification(p, q, k, comps, [normal_form(germ, [c[0][0]], k) for c in comps])
 
 
-def centralizer_germ(germ: GarsideGerm, p: int) -> FixedGermReport:
+def centralizer_germ(
+    germ: GarsideGerm, p: int, budget: Budget | int | None = None
+) -> FixedGermReport:
     """Fixed subgerm under φ^p; presents the centralizer of Δ^p where it is a loop."""
     from .conjugacy import fixed_subgerm
-    report = fixed_subgerm(germ, p)
+    report = fixed_subgerm(germ, p, 1, budget)
     if report.is_empty:
         raise GermError(f"phi^{p} has no fixed objects: delta^{p} is nowhere a loop")
     return report
+
+
+# -- command-line handlers (cli.COMMANDS) -----------------------------------
+
+def cmd_periodic(germ: GarsideGerm, forms, args, rep) -> bool:
+    budget = Budget(args.budget)
+    cert = is_periodic(germ, *forms, args.p, args.q, budget)
+    if cert is None:
+        rep.add("periodic", "no", f"not {args.p}/{args.q}-periodic")
+        return False
+    rep.add("periodic", "yes", f"{args.p}/{args.q}-periodic")
+    if not args.certify:
+        return True
+    bf = find_bestvina_form(germ, cert, budget)
+    if isinstance(bf, NoLengthOneRepresentative):
+        rep.add("bestvina", "none", f"no length-one representative: {bf.reason}")
+        return False
+    rep.add(
+        "bestvina",
+        f"({germ.simple_name(bf.s)}, k={bf.k})",
+        f"Bestvina form: ({germ.simple_name(bf.s)}, k={bf.k})",
+    )
+    rep.add("bestvina_conjugator", format_word(germ, bf.conjugator))
+    from .divided import build_divided_germ, tuple_name
+    under = tuple_name(germ, bestvina_object(germ, bf))
+    rep.add("bestvina_object", under, f"object: {under}")
+    nc = necklace_conjugator(germ, bf, build_divided_germ(germ, bf.q, budget), budget)
+    rep.add("necklace_conjugator", format_word(nc.divided.germ, nc.conjugator))
+    rep.add("conjugation", "verified", "conjugation verified")
+    return True
+
+
+def cmd_classify(germ: GarsideGerm, forms, args, rep) -> bool:
+    from .divided import tuple_name
+    cl = classify_periodic(germ, args.p, args.q, Budget(args.budget))
+    rep.add("classes", len(cl.components))
+    for i, (comp, r) in enumerate(zip(cl.components, cl.representatives)):
+        rep.add(f"class_{i}_objects", " ".join(tuple_name(germ, t) for t in comp))
+        rep.add(f"class_{i}_representative", format_word(germ, r))
+    return True
+
+
+def cmd_centralizer(germ: GarsideGerm, forms, args, rep) -> bool:
+    try:
+        report = centralizer_germ(germ, args.p, Budget(args.budget))
+    except GermError as exc:
+        if type(exc) is not GermError:
+            raise  # only "no fixed objects" is an answer; the subclasses are failures
+        rep.add("centralizer", "none", str(exc))
+        return False
+    sub = report.subgerm
+    rep.add("fixed_objects", len(sub.objects))
+    rep.add("fixed_simples", len(sub.simples))
+    rep.add("atoms", " ".join(sub.simple_name(a) for a in sub.atoms))
+    rep.add("components", len(report.components))
+    return True
+
+
+HANDLERS = {"periodic": cmd_periodic, "classify": cmd_classify, "centralizer": cmd_centralizer}

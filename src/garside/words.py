@@ -106,7 +106,8 @@ def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> No
             # The repair made a Δ at the front; it moves right by Δ·g = φ^{-1}(g)·Δ.
             out = [germ.phi_simple_inv[t] for t in out[1:]]
             d += 1
-    return NormalForm(source, tuple(out), d + k)
+    # Where Δ is an identity, Δ^k = 1 and no other simple leaves the source.
+    return NormalForm(source, tuple(out), d + k if simples[delta[source]].length else 0)
 
 
 def normal_form(
@@ -213,3 +214,12 @@ def format_word(germ: GarsideGerm, f: NormalForm) -> str:
         return f"@{germ.object_name(f.source)} " + " ".join(parts)
     return " ".join(parts)
 
+
+def report_nf(rep, germ: GarsideGerm, f: NormalForm, prefix: str) -> None:
+    """The CLI lines of a normal form: the word, its endpoints, inf, sup and length."""
+    rep.add(prefix, format_word(germ, f))
+    rep.add(f"{prefix}_source", germ.object_name(f.source))
+    rep.add(f"{prefix}_target", germ.object_name(target(germ, f)))
+    rep.add(f"{prefix}_inf", f.inf)
+    rep.add(f"{prefix}_sup", f.sup)
+    rep.add(f"{prefix}_canonical_length", f.canonical_length)

@@ -156,11 +156,12 @@ def test_degree_mismatch_is_an_internal_error(a2, monkeypatch, capsys):
 
 
 def test_forecast_refusal_names_the_evaluated_count(capsys):
-    # The message the multichain walk gave, after walking 2·10^5 steps.
+    # The simple count is the one the multichain walk gave after 2·10^5 steps.
     assert main(["divide", "--file", A2, "--m", "100000"]) == 3
     assert capsys.readouterr().err == (
         "error: computation budget exceeded (2000000 steps): "
-        "the 100000-divided germ would have 2666706666600000 simples\n"
+        "the 100000-divided germ would have 2666706666600000 simples of 100000 columns"
+        " and 4000020000000000 products\n"
     )
 
 

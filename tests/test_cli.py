@@ -10,6 +10,7 @@ from garside.words import delta_power_nf
 
 DATA = Path(__file__).parent / "data"
 A2 = str(DATA / "a2.germ")
+POINT = str(DATA / "point.germ")
 
 
 def run(capsys, *argv):
@@ -108,7 +109,7 @@ def test_divide_refuses_a_divided_germ_over_the_budget(capsys):
     assert out.out == ""
     assert out.err == (
         "error: computation budget exceeded (2000000 steps): "
-        "the 3-divided germ would have 36559946 simples\n"
+        "the 3-divided germ would have 36559946 simples of 3 columns and 3424176456 products\n"
     )
 
 
@@ -152,16 +153,19 @@ def test_periodic_spends_the_request_budget(capsys):
 
 def test_periodic_certify_builds_the_divided_germ_on_the_request_budget(capsys):
     # is_periodic and the summit search spend 26 steps, the forecast of the
-    # 3-divided germ 106 more
+    # 3-divided germ 550 more (106 simples of 3 columns and 126 products), and
+    # the necklace 9: β₂ slides 3 ladders of 3 columns
     argv = ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"]
-    assert main(argv + ["--budget", "131"]) == 3
+    assert main(argv + ["--budget", "575"]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (
-        "error: computation budget exceeded (131 steps): "
-        "the 3-divided germ would have 106 simples\n"
+        "error: computation budget exceeded (575 steps): "
+        "the 3-divided germ would have 106 simples of 3 columns and 126 products\n"
     )
-    assert main(argv + ["--budget", "132"]) == 0
+    assert main(argv + ["--budget", "584"]) == 3
+    assert capsys.readouterr().err.endswith("the necklace would slide 3 ladders of 3 columns\n")
+    assert main(argv + ["--budget", "585"]) == 0
     pinned = DATA / "pinned" / "periodic_a2_certify.out"
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
 
@@ -240,7 +244,7 @@ def test_nerve_answers_artin5_at_its_dimension(capsys):
     assert out.endswith("nondegenerate_10: 768\neuler: 0\ncyclic_identities: ok\n")
 
 
-def test_nerve_spends_its_lines_from_the_default_budget(capsys, tmp_path, monkeypatch):
+def test_nerve_spends_its_lines_from_the_default_budget(capsys, tmp_path):
     assert main(["nerve", "--file", A2, "--dim", "1000000000"]) == 3
     assert capsys.readouterr() == ("", (
         "error: computation budget exceeded (2000000 steps): "
@@ -248,18 +252,16 @@ def test_nerve_spends_its_lines_from_the_default_budget(capsys, tmp_path, monkey
     ))
     # at a budget of 20: 20 count lines pass; 6 count lines and the 14
     # simplices of A₂ pass with --out, 7 count lines and 14 simplices do not
-    import garside.cli
-
-    monkeypatch.setattr(garside.cli, "DEFAULT_BUDGET", 20)
+    nerve = ["nerve", "--file", A2, "--budget", "20", "--dim"]
     out_file = tmp_path / "nerve.txt"
-    assert main(["nerve", "--file", A2, "--dim", "19"]) == 0
-    assert main(["nerve", "--file", A2, "--dim", "5", "--out", str(out_file)]) == 0
+    assert main(nerve + ["19"]) == 0
+    assert main(nerve + ["5", "--out", str(out_file)]) == 0
     assert len(out_file.read_text().splitlines()) == 14
     capsys.readouterr()
-    assert main(["nerve", "--file", A2, "--dim", "20"]) == 3
+    assert main(nerve + ["20"]) == 3
     assert capsys.readouterr().err.endswith("nerve would print 21 simplex counts\n")
     out_file.unlink()
-    assert main(["nerve", "--file", A2, "--dim", "6", "--out", str(out_file)]) == 3
+    assert main(nerve + ["6", "--out", str(out_file)]) == 3
     assert capsys.readouterr() == ("", (
         "error: computation budget exceeded (20 steps): "
         "the simplex list would hold 14 simplices\n"
@@ -464,3 +466,50 @@ def test_unknown_object_name_is_printed_without_quotes(capsys):
 def test_non_composable_word_is_usage_error(capsys):
     err = usage_error(capsys, "nf", "--builtin", "rank2_counterexample", "--word", "a_x a_x")
     assert err == "error: multiply: endpoint mismatch\n"
+
+
+def test_delta_powers_are_identities_where_delta_is_one(capsys):
+    # the one object of point.germ has Δ = 1_x, so Δ^k = 1 in normal form
+    code, out = run(capsys, "nf", "--file", POINT, "--word", "@x D^1")
+    assert code == 0 and out.startswith("nf: @x\n") and "nf_inf: 0\n" in out
+    code, out = run(capsys, "isconj", "--file", POINT, "--word", "@x D^1", "--word", "@x")
+    assert (code, out) == (0, "conjugate\nwitness: @x\n")
+    for word, p in (("@x", "0"), ("@x D^1", "1")):
+        code, out = run(capsys, "periodic", "--file", POINT, "--word", word, "--p", p, "--certify")
+        assert code == 0 and out.endswith("conjugation verified\n")
+    # there every q is periodic, and a q-letter Bestvina object is refused past the word limit
+    argv = ["periodic", "--file", POINT, "--word", "@x", "--p", "1", "--q", str(10**12)]
+    assert main(argv) == 0
+    assert main(argv + ["--certify"]) == 3
+    assert capsys.readouterr().err == (
+        "error: a 1000000000000-letter Bestvina object exceeds the 65536-factor computation limit\n"
+    )
+
+
+# subcommand -> a request that a budget of one step refuses and the default admits
+SMALL_BUDGET = {
+    "divide": ["divide", "--file", A2, "--m", "2"],
+    "theta": ["theta", "--file", A2, "--word", "s", "--m", "2"],
+    "classify": ["classify", "--file", A2, "--p", "4", "--q", "3"],
+    "centralizer": ["centralizer", "--builtin", "dihedral_chamber", "--param", "4", "--p", "2"],
+    "nerve": ["nerve", "--file", A2],
+    "zpoly": ["zpoly", "--file", A2],
+    "cover": ["cover", "--file", A2, "--radius", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BUDGET))
+def test_request_budget_reaches_the_subcommand(name, capsys):
+    argv = SMALL_BUDGET[name]
+    assert main(argv + ["--budget", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: computation budget exceeded (1 steps): ")
+    assert main(argv) == 0
+
+
+def test_unknown_builtin_family_is_a_usage_error(capsys):
+    # builtins.build names the families; the parser does not load that module
+    assert main(["validate", "--builtin", "nosuch"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: unknown builtin family 'nosuch'; choose from ('artin_symmetric', "
+        "'dual_braid', 'dihedral_chamber', 'rank2_counterexample')\n"
+    ))

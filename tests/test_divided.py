@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,7 +34,9 @@ import oracles
 from paper_checks import subdivision_iso
 
 
-# (base, m) -> |simples of the m-divided germ| = |D_2m| of the base
+# (base, m) -> |simples of the m-divided germ| = |D_2m| of the base; the
+# forecast spends m + 1 steps per simple (it and its m columns) and one per
+# non-unit product
 DIVIDED_SIZES = {
     ("a2", 2): 36, ("a2", 3): 106, ("rank2", 3): 212, ("dual3", 2): 22, ("chamber3", 2): 216,
 }
@@ -43,10 +46,14 @@ DIVIDED_SIZES = {
 def test_divided_simples_are_the_forecast_2m_subdivisions(request, base, m):
     germ = request.getfixturevalue(base)
     forecast = sum(count_subdivisions(germ, 2 * m).values())
-    budget = Budget(forecast)
+    budget = Budget(10**9)
     dg = build_divided_germ(germ, m, budget)
     assert len(dg.germ.simples) == forecast == DIVIDED_SIZES[(base, m)]
-    assert budget.used == forecast
+    units = set(dg.germ.identity)
+    products = sum(1 for a, b in dg.germ.product if a not in units and b not in units)
+    assert budget.used == (m + 1) * forecast + products
+    with pytest.raises(BudgetExceeded):
+        build_divided_germ(germ, m, Budget(budget.used - 1))
 
 
 def test_divided_germ_over_budget_is_refused_before_building(a2, monkeypatch):
@@ -54,9 +61,25 @@ def test_divided_germ_over_budget_is_refused_before_building(a2, monkeypatch):
 
     monkeypatch.setattr(divided, "enumerate_subdivisions", None)  # never reached
     with pytest.raises(BudgetExceeded) as exc:
-        build_divided_germ(a2, 3, Budget(105))
+        build_divided_germ(a2, 3, Budget(549))
     assert str(exc.value) == (
-        "computation budget exceeded (105 steps): the 3-divided germ would have 106 simples"
+        "computation budget exceeded (549 steps): "
+        "the 3-divided germ would have 106 simples of 3 columns and 126 products"
+    )
+
+
+def test_forecast_counts_the_columns_and_products(monkeypatch, capsys):
+    # |D_60| = 75,580 simples alone would pass the default budget; with their
+    # 30 columns each and the 109,800 products they are refused before the build
+    import garside.divided as divided
+
+    monkeypatch.setattr(divided, "enumerate_subdivisions", None)  # never reached
+    t0 = time.perf_counter()
+    assert main(["divide", "--file", str(POINT.with_name("a2.germ")), "--m", "30"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "error: computation budget exceeded (2000000 steps): "
+        "the 30-divided germ would have 75580 simples of 30 columns and 109800 products\n"
     )
 
 
@@ -80,9 +103,9 @@ def test_divided_germ_past_the_word_limit_is_refused(capsys):
     assert len(build_divided_germ(point, 5000).objects[0]) == 5000
     with pytest.raises(BudgetExceeded, match=f"exceeds the {MAX_WORD_FACTORS}-factor"):
         build_divided_germ(point, MAX_WORD_FACTORS + 1)
-    assert main(["divide", "--file", str(POINT), "--m", "1000000000"]) == 3
+    assert main(["divide", "--file", str(POINT), "--m", "1000000"]) == 3
     assert capsys.readouterr() == ("", (
-        "error: the 1000000000-divided germ exceeds the 65536-factor computation limit\n"
+        "error: the 1000000-divided germ exceeds the 65536-factor computation limit\n"
     ))
     # the |D_2m| forecast comes first
     assert main(["divide", "--file", str(POINT.with_name("a2.germ")), "--m", "1000000000"]) == 3
