@@ -16,8 +16,9 @@ Each generator returns a GermTable; run germ.validate on it to use it.
 from __future__ import annotations
 
 from itertools import permutations
+from pathlib import Path
 
-from .germ import GermError, GermTable, assemble_table
+from .germ import GarsideGerm, GermError, GermTable, assemble_table, table_to_text
 
 FAMILIES = ("artin_symmetric", "dual_braid", "dihedral_chamber", "rank2_counterexample")
 
@@ -154,3 +155,12 @@ def build(family: str, param: int | None = None) -> GermTable:
     generators = {"artin_symmetric": artin_symmetric, "dual_braid": dual_braid,
                   "dihedral_chamber": dihedral_chamber}
     return generators[family](param)
+
+
+def cmd_builtin(germ: GarsideGerm, forms, args, rep) -> bool:
+    rep.add("objects", len(germ.objects))
+    rep.add("simples", len(germ.simples))
+    if args.out:
+        Path(args.out).write_text(table_to_text(germ), encoding="utf-8")
+        rep.add("out", args.out, f"wrote germ to {args.out}")
+    return True

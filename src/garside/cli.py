@@ -16,7 +16,7 @@ reported fact.
 
 A request compiles only the code it runs: this module imports the germ and
 word modules, the builtin module only for `--builtin`, and the library module
-whose HANDLERS hold the subcommand's handler. No library module imports this
+whose cmd_<subcommand> handles the request. No library module imports this
 one, which `python -m garside.cli` runs as `__main__`.
 """
 
@@ -37,7 +37,6 @@ from .germ import (
     GermValidationError,
     InternalError,
     parse_germ,
-    table_to_text,
     validate,
 )
 
@@ -88,30 +87,6 @@ def load_germ(args) -> GarsideGerm:
     return validate(parse_germ(Path(args.file).read_text(encoding="utf-8")))
 
 
-def cmd_nf(germ: GarsideGerm, forms, args, rep: Reporter) -> bool:
-    words.report_nf(rep, germ, forms[0], "nf")
-    return True
-
-
-def cmd_mul(germ: GarsideGerm, forms, args, rep: Reporter) -> bool:
-    words.report_nf(rep, germ, words.multiply(germ, *forms), "product")
-    return True
-
-
-def cmd_inv(germ: GarsideGerm, forms, args, rep: Reporter) -> bool:
-    words.report_nf(rep, germ, words.invert(germ, *forms), "inverse")
-    return True
-
-
-def cmd_builtin(germ: GarsideGerm, forms, args, rep: Reporter) -> bool:
-    rep.add("objects", len(germ.objects))
-    rep.add("simples", len(germ.simples))
-    if args.out:
-        Path(args.out).write_text(table_to_text(germ), encoding="utf-8")
-        rep.add("out", args.out, f"wrote germ to {args.out}")
-    return True
-
-
 # flag -> add_argument keywords; a subcommand takes those COMMANDS lists for it.
 FLAGS = {
     "--word": dict(action="append", default=[], help="morphism word (repeatable)"),
@@ -128,15 +103,15 @@ FLAGS = {
     "--budget": dict(type=int, default=DEFAULT_BUDGET),
 }
 
-# name -> (handler, or the library module whose HANDLERS holds it; help;
-# number of --word arguments; flags besides the source). A handler takes the
-# germ, the --word normal forms, the arguments and the reporter, and returns
-# False for an honest negative answer (exit 4).
+# name -> (the library module whose cmd_<name> handles it; help; number of
+# --word arguments; flags besides the source). A handler takes the germ, the
+# --word normal forms, the arguments and the reporter, and returns False for
+# an honest negative answer (exit 4).
 COMMANDS = {
     "validate": ("nerve", "validate a germ and print its invariants", 0, ["--out"]),
-    "nf": (cmd_nf, "greedy normal form of a word", 1, []),
-    "mul": (cmd_mul, "multiply two words", 2, []),
-    "inv": (cmd_inv, "invert a word", 1, []),
+    "nf": ("words", "greedy normal form of a word", 1, []),
+    "mul": ("words", "multiply two words", 2, []),
+    "inv": ("words", "invert a word", 1, []),
     "conj": ("conjugacy", "conjugate a loop by a word", 2, []),
     "summit": ("conjugacy", "cycle/decycle to a summit and list the summit set", 1, ["--budget"]),
     "isconj": ("conjugacy", "decide conjugacy of two loops", 2, ["--budget"]),
@@ -165,7 +140,7 @@ COMMANDS = {
         "nerve", "bounded ball of the universal cover, DOT export", 0,
         ["--source", "--radius", "--out", "--budget"],
     ),
-    "builtin": (cmd_builtin, "generate a builtin germ", 0, ["--out"]),
+    "builtin": ("builtins", "generate a builtin germ", 0, ["--out"]),
 }
 
 
@@ -196,14 +171,13 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --budget must be positive", file=sys.stderr)
         return EXIT_USAGE
     rep = Reporter(args.json_like)
-    handler, _, n_words, _ = COMMANDS[args.command]
+    module, _, n_words, _ = COMMANDS[args.command]
     try:
         germ = load_germ(args)
         given = getattr(args, "word", [])
         if len(given) != n_words:
             raise GermError(f"this subcommand expects --word exactly {n_words} time(s)")
-        if isinstance(handler, str):
-            handler = import_module(f"{__package__}.{handler}").HANDLERS[args.command]
+        handler = getattr(import_module(f"{__package__}.{module}"), f"cmd_{args.command}")
         positive = handler(germ, [words.parse_word(germ, w) for w in given], args, rep)
     except tuple(kind for kind, _, _ in FAILURES) as exc:
         prefix, code = next((p, c) for kind, p, c in FAILURES if isinstance(exc, kind))

@@ -222,11 +222,8 @@ def fixed_subgerm(
     return FixedGermReport(sub, objs, inclusion, components(sub), atoms_realized)
 
 
-# -- command-line handlers (cli.COMMANDS) -----------------------------------
-
 def cmd_conj(germ: GarsideGerm, forms, args, rep) -> bool:
-    report_nf(rep, germ, conjugate(germ, *forms), "conjugate")
-    return True
+    return report_nf(rep, germ, conjugate(germ, *forms), "conjugate")
 
 
 def cmd_summit(germ: GarsideGerm, forms, args, rep) -> bool:
@@ -248,6 +245,3 @@ def cmd_isconj(germ: GarsideGerm, forms, args, rep) -> bool:
     rep.add("conjugate", "yes", "conjugate")
     rep.add("witness", format_word(germ, witness.c))
     return True
-
-
-HANDLERS = {"conj": cmd_conj, "summit": cmd_summit, "isconj": cmd_isconj}

@@ -45,7 +45,7 @@ from .germ import (
     table_to_text,
     validate,
 )
-from .words import MAX_WORD_FACTORS, NormalForm, delta_power_nf, normal_form, report_nf
+from .words import MAX_WORD_FACTORS, NormalForm, delta_power, normal_form, report_nf
 
 DividedObject = tuple[int, ...]
 
@@ -137,13 +137,17 @@ def build_divided_germ(
     germ: GarsideGerm, m: int, budget: Budget | int | None = None
 ) -> DividedGerm:
     """Construct and fully validate the m-divided germ, after spending what it will hold."""
+    if m < 1:
+        raise GermError("m must be a positive integer")
     # Z(2m) = |D_2m| simples of m columns each, and the products: a product is
     # a 3m-subdivision (s_i, t_i, d_i/t_i), with a unit factor when all s_i or
     # all t_i are identities, so Z(3m) − 2·Z(2m) + Z(m) have none.
-    z = [sum(count_subdivisions(germ, n * m).values()) for n in (1, 2, 3)]
-    products = z[2] - 2 * z[1] + z[0]
-    as_budget(budget).spend((m + 1) * z[1] + products, f": the {m}-divided germ would have "
-                            f"{z[1]} simples of {m} columns and {products} products")
+    chains = [chain_counts(germ, obj.id) for obj in germ.objects]
+    z1, z2, z3 = (sum(n * comb(j * m - 1, i) for c in chains for i, n in enumerate(c))
+                  for j in (1, 2, 3))
+    products = z3 - 2 * z2 + z1
+    as_budget(budget).spend((m + 1) * z2 + products, f": the {m}-divided germ would have "
+                            f"{z2} simples of {m} columns and {products} products")
     # Where Δ is an identity the forecast is only m + 1; each object holds m factors.
     if m > MAX_WORD_FACTORS:
         raise BudgetExceeded(
@@ -257,7 +261,7 @@ def ladder_nf(
 ) -> NormalForm:
     """Normal form of the ladder word·Δ^shift at src; a bare Δ-power for no ladders."""
     if not ladders:
-        return delta_power_nf(dg.object_of(src), shift)
+        return delta_power(dg.germ, dg.object_of(src), shift)
     return normal_form(dg.germ, ladders, shift)
 
 
@@ -292,8 +296,6 @@ def theta_morphism(dg: DividedGerm, f: NormalForm) -> NormalForm:
     return ladder_nf(dg, src, ladders, dg.m * f.delta_exp)
 
 
-# -- command-line handlers (cli.COMMANDS) -----------------------------------
-
 def cmd_divide(germ: GarsideGerm, forms, args, rep) -> bool:
     counts = count_subdivisions(germ, args.m)
     total = sum(counts.values())
@@ -316,8 +318,4 @@ def cmd_divide(germ: GarsideGerm, forms, args, rep) -> bool:
 
 def cmd_theta(germ: GarsideGerm, forms, args, rep) -> bool:
     dg = build_divided_germ(germ, args.m, Budget(args.budget))
-    report_nf(rep, dg.germ, theta_morphism(dg, *forms), "theta")
-    return True
-
-
-HANDLERS = {"divide": cmd_divide, "theta": cmd_theta}
+    return report_nf(rep, dg.germ, theta_morphism(dg, *forms), "theta")

@@ -297,8 +297,6 @@ def atom_graph_dot(germ: GarsideGerm) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- command-line handlers (cli.COMMANDS) -----------------------------------
-
 def cmd_validate(germ: GarsideGerm, forms, args, rep) -> bool:
     rep.add("objects", len(germ.objects))
     rep.add("simples", len(germ.simples))
@@ -356,6 +354,3 @@ def cmd_cover(germ: GarsideGerm, forms, args, rep) -> bool:
         Path(args.out).write_text(cover_ball_dot(germ, ball), encoding="utf-8")
         rep.add("out", args.out, f"wrote DOT graph to {args.out}")
     return True
-
-
-HANDLERS = {"validate": cmd_validate, "nerve": cmd_nerve, "zpoly": cmd_zpoly, "cover": cmd_cover}

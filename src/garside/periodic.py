@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .germ import Budget, BudgetExceeded, GarsideGerm, GermError, InternalError, as_budget
 from .words import (
-    MAX_WORD_FACTORS, NormalForm, as_loop, delta_power_nf, format_word, multiply, normal_form,
+    MAX_WORD_FACTORS, NormalForm, as_loop, delta_power, format_word, multiply, normal_form,
 )
 
 if TYPE_CHECKING:  # imported where used, so a periodicity test loads neither module
@@ -59,8 +59,7 @@ def is_periodic(
         budget.spend(len(cur.factors) + len(gamma.factors),
                      f": raising the word to the power {q} reached power {j}")
         cur, j = multiply(germ, cur, gamma), j + 1
-    exponent = 0 if germ.is_identity(germ.delta[gamma.source]) else p  # Δ^p = 1 where Δ = 1
-    if q % j == 0 and cur.delta_exp * (q // j) == exponent:
+    if q % j == 0 and cur.delta_exp * (q // j) == delta_power(germ, gamma.source, p).delta_exp:
         return PeriodicityCertificate(gamma, p, q)
     return None
 
@@ -115,16 +114,11 @@ def find_bestvina_form(
         # prefer the loop itself: its conjugator is the identity
         candidates.insert(0, cert.gamma)
     for h in candidates:
-        if h.canonical_length > 1:
+        # h = sΔ^k with s its one factor, or s = Δ when h is a Δ-power
+        s = h.factors[0] if h.factors else germ.delta[h.source]
+        if h.canonical_length > 1 or normal_form(germ, [s], k) != h:
             continue
-        if h.canonical_length == 1:
-            s, kk = h.factors[0], h.delta_exp
-        else:
-            s = germ.delta[h.source]
-            kk = h.delta_exp - 1 if germ.simples[s].length else k  # Δ = 1: h = Δ·Δ^k
-        if kk != k:
-            continue
-        bf = BestvinaForm(s, kk, q, summits[h])
+        bf = BestvinaForm(s, k, q, summits[h])
         try:
             check_bestvina(germ, bf, p)
         except GermError:
@@ -193,8 +187,7 @@ def necklace_conjugator(
 
     gamma = normal_form(germ, [bf.s], bf.k)
     theta = theta_morphism(dg, gamma)
-    oid = dg.object_of(letters)  # Δ_q^p in normal form, the identity where Δ_q = 1
-    dpow = delta_power_nf(oid, 0 if dg.germ.is_identity(dg.germ.delta[oid]) else p)
+    dpow = delta_power(dg.germ, dg.object_of(letters), p)
     if multiply(dg.germ, theta, c) != multiply(dg.germ, c, dpow):
         raise InternalError("necklace conjugation equation failed verification")
     return NecklaceConjugation(bf, dg, c, theta, dpow)
@@ -234,8 +227,6 @@ def centralizer_germ(
         raise GermError(f"phi^{p} has no fixed objects: delta^{p} is nowhere a loop")
     return report
 
-
-# -- command-line handlers (cli.COMMANDS) -----------------------------------
 
 def cmd_periodic(germ: GarsideGerm, forms, args, rep) -> bool:
     budget = Budget(args.budget)
@@ -289,6 +280,3 @@ def cmd_centralizer(germ: GarsideGerm, forms, args, rep) -> bool:
     rep.add("atoms", " ".join(sub.simple_name(a) for a in sub.atoms))
     rep.add("components", len(report.components))
     return True
-
-
-HANDLERS = {"periodic": cmd_periodic, "classify": cmd_classify, "centralizer": cmd_centralizer}

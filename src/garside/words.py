@@ -71,6 +71,11 @@ def delta_power_nf(oid: int, k: int) -> NormalForm:
     return NormalForm(oid, (), k)
 
 
+def delta_power(germ: GarsideGerm, oid: int, k: int) -> NormalForm:
+    """Δ^k at oid in normal form: the identity where Δ_oid is one."""
+    return _normalize(germ, oid, [], k)
+
+
 def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> NormalForm:
     if len(factors) > MAX_WORD_FACTORS:
         raise BudgetExceeded(
@@ -215,11 +220,24 @@ def format_word(germ: GarsideGerm, f: NormalForm) -> str:
     return " ".join(parts)
 
 
-def report_nf(rep, germ: GarsideGerm, f: NormalForm, prefix: str) -> None:
-    """The CLI lines of a normal form: the word, its endpoints, inf, sup and length."""
+def report_nf(rep, germ: GarsideGerm, f: NormalForm, prefix: str) -> bool:
+    """The CLI lines of a normal form: word, endpoints, inf, sup, length. Returns True."""
     rep.add(prefix, format_word(germ, f))
     rep.add(f"{prefix}_source", germ.object_name(f.source))
     rep.add(f"{prefix}_target", germ.object_name(target(germ, f)))
     rep.add(f"{prefix}_inf", f.inf)
     rep.add(f"{prefix}_sup", f.sup)
     rep.add(f"{prefix}_canonical_length", f.canonical_length)
+    return True
+
+
+def cmd_nf(germ: GarsideGerm, forms, args, rep) -> bool:
+    return report_nf(rep, germ, forms[0], "nf")
+
+
+def cmd_mul(germ: GarsideGerm, forms, args, rep) -> bool:
+    return report_nf(rep, germ, multiply(germ, *forms), "product")
+
+
+def cmd_inv(germ: GarsideGerm, forms, args, rep) -> bool:
+    return report_nf(rep, germ, invert(germ, *forms), "inverse")

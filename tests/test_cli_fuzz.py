@@ -3,11 +3,13 @@
 the rank-2 germ and a one-object germ whose Δ is the identity, with integer
 flags drawn from {0…4} ∪ {10⁶…10¹²}. The middle values are left out so that
 each request stays fast: a small value is answered, a huge one must be
-refused by a budget or answered without work in proportion to it. `--budget`
-itself is drawn from {0…4} ∪ {10⁶…DEFAULT_BUDGET}: a larger budget would
-ask for the work it admits. Every request ends in one of the exit codes 0–4
-with its message: 5 is an internal error, and an escaped exception would end
-the process in a traceback and exit 1, which reads as a validation failure.
+refused by a budget or answered without work in proportion to it. So is
+`--budget`, except that divide, theta, classify, centralizer, nerve, zpoly
+and cover draw it from {0…4} ∪ {10⁶…DEFAULT_BUDGET}: each spends up to its
+budget on one walk, so a larger one would ask for the work it admits. Every
+request ends in one of the exit codes 0–4 with its message: 5 is an internal
+error, and an escaped exception would end the process in a traceback and
+exit 1, which reads as a validation failure.
 """
 
 import io
@@ -32,8 +34,9 @@ GERMS = {
 }
 OUT = "<out>"    # replaced by a file in a temporary directory
 INTEGERS = st.one_of(st.integers(0, 4), st.integers(10**6, 10**12))
-INTEGER_FLAGS = {flag: INTEGERS for flag in ("--m", "--p", "--q", "--radius", "--dim", "--samples")}
-INTEGER_FLAGS["--budget"] = st.one_of(st.integers(0, 4), st.integers(10**6, DEFAULT_BUDGET))
+INTEGER_FLAGS = {"--m", "--p", "--q", "--radius", "--dim", "--samples", "--budget"}
+SPEND_IN_FULL = {"divide", "theta", "classify", "centralizer", "nerve", "zpoly", "cover"}
+CAPPED_BUDGETS = st.one_of(st.integers(0, 4), st.integers(10**6, DEFAULT_BUDGET))
 
 
 @st.composite
@@ -48,7 +51,8 @@ def requests(draw) -> list[str]:
     for flag in flags:
         if flag in INTEGER_FLAGS:
             if draw(st.booleans()):
-                argv += [flag, str(draw(INTEGER_FLAGS[flag]))]
+                capped = flag == "--budget" and command in SPEND_IN_FULL
+                argv += [flag, str(draw(CAPPED_BUDGETS if capped else INTEGERS))]
         elif flag == "--source":
             if draw(st.booleans()):
                 argv += [flag, draw(st.sampled_from(objects))]
