@@ -59,7 +59,7 @@ def _decycle_conjugator(germ: GarsideGerm, g: NormalForm) -> NormalForm:
 
 
 def to_summit(
-    germ: GarsideGerm, g: NormalForm, budget: Budget | int | None = None
+    germ: GarsideGerm, g: NormalForm, budget: Budget | None = None
 ) -> ConjugacyWitness:
     """
     Cycle and decycle until (inf, sup) stops improving for
@@ -90,7 +90,7 @@ def to_summit(
 
 
 def summit_set(
-    germ: GarsideGerm, g: NormalForm, budget: Budget | int | None = None
+    germ: GarsideGerm, g: NormalForm, budget: Budget | None = None
 ) -> dict[NormalForm, NormalForm]:
     """
     The full summit set of g, as a map summit -> conjugator (from g).
@@ -122,7 +122,7 @@ def summit_set(
 
 
 def are_conjugate(
-    germ: GarsideGerm, g: NormalForm, h: NormalForm, budget: Budget | int | None = None
+    germ: GarsideGerm, g: NormalForm, h: NormalForm, budget: Budget | None = None
 ) -> ConjugacyWitness | None:
     """
     A witness if the summit sets intersect, else None. Negative answers come
@@ -154,26 +154,24 @@ class FixedGermReport(NamedTuple):
 
 
 def fixed_subgerm(
-    germ: GarsideGerm, p: int, q: int = 1, budget: Budget | int | None = None
+    germ: GarsideGerm, p: int, q: int = 1, budget: Budget | None = None
 ) -> FixedGermReport:
     """
-    The φ_q^p-fixed subgerm of 𝒢_q, p = kq + 1, from the base germ (at q = 1 the
-    φ^p-fixed subgerm, base names kept): fixed objects and ladders are twists
-    (`divided.fixed_twist`) of the f with q·len(f) = ‖Δ_x‖ multiplying to Δ_x
-    and of the s ≼ f. a·b is defined when each column t_i of b left-divides
-    the diagonal d_i of a, and is (a_i·t_i). Validated in full.
+    The φ_q^p-fixed subgerm of 𝒢_q, p = kq + 1, from the base germ; empty when no
+    object is fixed. `divided.twist_exponent` refuses other p/q before any spending.
+    At q = 1 it is the φ^p-fixed subgerm, base names kept, which presents the
+    centralizer of Δ^p where that is a loop. Objects are the `divided.fixed_object`
+    twists of the f with q·len(f) = ‖Δ_x‖, ladders the fixed twists of the s ≼ f.
+    a·b is defined when each column t_i of b left-divides the diagonal d_i of a,
+    and is (a_i·t_i). Validated in full.
     """
-    from .divided import fixed_twist, ladder_target, tuple_name
-    if q < 1:
-        raise GermError("q must be positive")
-    if (p - 1) % q:
-        raise GermError(f"p = {p} is not congruent to 1 mod q = {q}")
+    from .divided import fixed_object, fixed_twist, ladder_target, tuple_name, twist_exponent
+    k = twist_exponent(p, q)
     norm = [germ.simples[d].length for d in germ.delta]
     firsts = [f.id for f in germ.simples if q * f.length == norm[f.source]]
     # Only an object whose Δ is the identity admits q > ‖Δ‖.
     as_budget(budget).spend(q * len(firsts), f": fixed objects of {q} letters")
-    twists = (fixed_twist(germ, f, p, q) for f in firsts)
-    objs = [t for t in twists if t is not None and germ.fold_product(t[0], t[1:]) is not None]
+    objs = [t for t in (fixed_object(germ, f, k, q) for f in firsts) if t is not None]
     if not objs:
         return FixedGermReport(None, [], [], [], {})
     objs.sort(key=lambda t: (germ.simples[t[0]].source, t))
@@ -181,7 +179,7 @@ def fixed_subgerm(
     lads = []  # (columns, source, target); identities sort first, in object order (1_x = x)
     for i, t in enumerate(objs):
         for s in germ.divisors[t[0]]:
-            cols = fixed_twist(germ, s, p, q)
+            cols = fixed_twist(germ, s, k, q)
             tgt = cols and ladder_target(germ, t, cols)
             if tgt and tgt not in obj_ix:
                 raise InternalError("a fixed ladder ends outside the fixed objects")

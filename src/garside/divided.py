@@ -20,7 +20,8 @@ One evaluator, `slide`, reads a slide word as ladders: σ_i moves the first
 letter of slot i of a word tuple one slot left, and is the ladder with that
 letter as its only non-identity column. Θ_m(s) is ψ(β₁) for β₁ = σ_m…σ₁ read
 from (ε, ..., ε, s·s̄) over (1_x, ..., 1_x, Δ_x); the necklace conjugator of
-`periodic` is ψ(β₂) from the same object.
+`periodic` is ψ(β₂) from the same object. The p/q rule p = kq + 1 of
+`periodic` is `twist_exponent`, and its φ_q^p-fixed twists `fixed_object`.
 """
 
 from __future__ import annotations
@@ -83,17 +84,36 @@ def ladder_target(
     return tuple(tgt)
 
 
-def fixed_twist(germ: GarsideGerm, s: int, p: int, q: int) -> DividedObject | None:
+def twist_exponent(p: int, q: int) -> int:
+    """The k of p = kq + 1, the p/q rule of the periodic layer; refuses q < 1 and p ≢ 1 mod q."""
+    if q < 1:
+        raise GermError("q must be positive")
+    if (p - 1) % q:
+        raise GermError(f"p = {p} is not congruent to 1 mod q = {q}")
+    return (p - 1) // q
+
+
+def fixed_twist(germ: GarsideGerm, s: int, k: int, q: int) -> DividedObject | None:
     """
-    The twist (s, φ^{-k}s, ..., φ^{-(q-1)k}s) of s for p = kq + 1, if φ_q^p
-    fixes it, else None. φ_q shifts (f_1, ..., f_q) to (f_2, ..., f_q, φf_1),
+    The twist (f_1, ..., f_q), f_i = φ^{-(i-1)k}s, if φ_q^p fixes it for
+    p = kq + 1, else None. φ_q shifts (f_1, ..., f_q) to (f_2, ..., f_q, φf_1),
     so q shifts apply φ to every entry and φ_q^p maps (f_1, ..., f_q) to
     (φ^k f_2, ..., φ^k f_q, φ^{k+1} f_1): a tuple it fixes is the twist of f_1.
+    On the twist φ^k f_{i+1} = f_i, and φ^{k+1} f_1 = f_q = φ^{-(q-1)k}s iff
+    φ^p s = s. As φ^{|φ|} = 1, the twist repeats the φ^{-k}-orbit of s.
     """
-    k = (p - 1) // q
-    f = tuple(germ.phi_power(s, -i * k) for i in range(q))
-    shifted = tuple(germ.phi_power(t, k) for t in f[1:]) + (germ.phi_power(s, k + 1),)
-    return f if shifted == f else None
+    period = [s]
+    while (t := germ.phi_power(period[-1], -k)) != s:
+        period.append(t)
+    fixed = germ.phi_power(s, k * q + 1) == s
+    return (tuple(period) * (q // len(period) + 1))[:q] if fixed else None
+
+
+def fixed_object(germ: GarsideGerm, s: int, k: int, q: int) -> DividedObject | None:
+    """The twist of s if φ_q^p fixes it and its letters multiply to Δ_x: a fixed object of 𝒢_q."""
+    f = fixed_twist(germ, s, k, q)
+    prod = f and germ.fold_product(f[0], f[1:])
+    return f if prod is not None and germ.is_delta(prod) else None
 
 
 class Ladder(NamedTuple):
@@ -108,8 +128,9 @@ def tuple_name(germ: GarsideGerm, f: tuple[int, ...]) -> str:
     holding "(", ")" or "," is written (<length>'<name>), so a left-to-right
     read recovers the tuple and distinct tuples never print alike.
     """
-    names = (germ.simple_name(s) for s in f)
-    return "(" + ",".join(f"({len(n)}'{n})" if set(n) & set("(),") else n for n in names) + ")"
+    shown = {s: n if set(n := germ.simple_name(s)).isdisjoint("(),") else f"({len(n)}'{n})"
+             for s in set(f)}  # each distinct name formatted once
+    return "(" + ",".join([shown[s] for s in f]) + ")"
 
 
 class DividedGerm(NamedTuple):
@@ -134,7 +155,7 @@ class DividedGerm(NamedTuple):
 
 
 def build_divided_germ(
-    germ: GarsideGerm, m: int, budget: Budget | int | None = None
+    germ: GarsideGerm, m: int, budget: Budget | None = None
 ) -> DividedGerm:
     """Construct and fully validate the m-divided germ, after spending what it will hold."""
     if m < 1:

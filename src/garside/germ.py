@@ -76,12 +76,8 @@ class Budget:
 DEFAULT_BUDGET = 2_000_000
 
 
-def as_budget(budget: Budget | int | None) -> Budget:
-    if budget is None:
-        return Budget(DEFAULT_BUDGET)
-    if isinstance(budget, int):
-        return Budget(budget)
-    return budget
+def as_budget(budget: Budget | None) -> Budget:
+    return Budget(DEFAULT_BUDGET) if budget is None else budget
 
 
 class _Ref:

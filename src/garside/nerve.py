@@ -165,7 +165,7 @@ class ZPolynomial:
 
 
 def fit_z_polynomial(
-    germ: GarsideGerm, samples: int, budget: Budget | int | None = None
+    germ: GarsideGerm, samples: int, budget: Budget | None = None
 ) -> ZPolynomial:
     """
     Z(m) = |D_m|: coefficient n is Σ_x N_n(x) (`chain_counts`), padded with
@@ -192,7 +192,7 @@ class CoverBall(NamedTuple):
 
 
 def cover_ball(
-    germ: GarsideGerm, basepoint: int, radius: int, budget: Budget | int | None = None
+    germ: GarsideGerm, basepoint: int, radius: int, budget: Budget | None = None
 ) -> CoverBall:
     """
     Positive morphisms from the basepoint with sup ≤ radius; edges join f, g
@@ -346,6 +346,8 @@ def cmd_zpoly(germ: GarsideGerm, forms, args, rep) -> bool:
 
 
 def cmd_cover(germ: GarsideGerm, forms, args, rep) -> bool:
+    if not germ.objects:
+        raise GermError("the germ has no object to base a cover ball at")
     basepoint = germ.object_named(args.source) if args.source else 0
     ball = cover_ball(germ, basepoint, args.radius, Budget(args.budget))
     rep.add("vertices", len(ball.vertices))

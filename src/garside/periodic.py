@@ -4,8 +4,9 @@ conjugation of Θ_q(sΔ^k) to a power of the divided Garside map.
 
 A loop γ is p/q-periodic when γ^q = Δ^p. In a cyclic structure every such
 loop is conjugate to sΔ^k with s simple and s·s^{φ^{-k}}·...·s^{φ^{-(q-1)k}}
-= Δ, which forces p = qk+1; we find the representative by scanning the summit
-set for canonical length ≤ 1 and report an explicit failure value otherwise.
+= Δ, which forces p = qk+1 (`divided.twist_exponent`). We find the
+representative as a summit sΔ^k whose twist is a fixed object of 𝒢_q
+(`divided.fixed_object`) and report an explicit failure value otherwise.
 
 The conjugator realizing Θ_q(sΔ^k) ~ Δ_q^p is built from the necklace slide
 word β₂ = (σ_q…σ₂)(σ_q…σ₃)…(σ_q): slides act on q-tuples of words over the
@@ -26,7 +27,6 @@ from .words import (
 )
 
 if TYPE_CHECKING:  # imported where used, so a periodicity test loads neither module
-    from .conjugacy import FixedGermReport
     from .divided import DividedGerm, DividedObject
 
 
@@ -37,7 +37,7 @@ class PeriodicityCertificate(NamedTuple):
 
 
 def is_periodic(
-    germ: GarsideGerm, gamma: NormalForm, p: int, q: int, budget: Budget | int | None = None
+    germ: GarsideGerm, gamma: NormalForm, p: int, q: int, budget: Budget | None = None
 ) -> PeriodicityCertificate | None:
     """
     Certificate iff gamma^q equals the Δ^p loop at the same object. The
@@ -70,9 +70,6 @@ class BestvinaForm(NamedTuple):
     q: int
     conjugator: NormalForm      # carries gamma to (s; k)
 
-    def twisted_letters(self, germ: GarsideGerm) -> tuple[int, ...]:
-        return tuple(germ.phi_power(self.s, -i * self.k) for i in range(self.q))
-
 
 class NoLengthOneRepresentative(NamedTuple):
     """Documented failure value: the p ≡ 1 (mod q) reduction does not apply."""
@@ -80,30 +77,23 @@ class NoLengthOneRepresentative(NamedTuple):
     reason: str
 
 
-def check_bestvina(germ: GarsideGerm, bf: BestvinaForm, p: int) -> None:
-    """Recompute both defining invariants; raises on any mismatch."""
-    if p != bf.q * bf.k + 1:
-        raise GermError("Bestvina form violates p = qk+1")
-    letters = bf.twisted_letters(germ)
-    prod = germ.fold_product(letters[0], letters[1:])
-    if prod is None or not germ.is_delta(prod):
-        raise GermError("Bestvina product is not delta")
-
-
 def find_bestvina_form(
     germ: GarsideGerm,
     cert: PeriodicityCertificate,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> BestvinaForm | NoLengthOneRepresentative:
     """
     Search the summit set of the certified loop for a representative of
-    canonical length <= 1 and package it with its conjugator.
+    canonical length <= 1 whose twist is a fixed object of 𝒢_q, and package it
+    with its conjugator.
     """
     from .conjugacy import summit_set
-    p, q = cert.p, cert.q
-    if (p - 1) % q != 0:
-        return NoLengthOneRepresentative(f"p = {p} is not congruent to 1 mod q = {q}")
-    k = (p - 1) // q
+    from .divided import fixed_object, twist_exponent
+    q = cert.q
+    try:
+        k = twist_exponent(cert.p, q)
+    except GermError as exc:
+        return NoLengthOneRepresentative(str(exc))
     # q·len(s) = ‖Δ‖, so only where Δ is an identity can q pass the word limit
     if q > MAX_WORD_FACTORS:
         raise BudgetExceeded(f"a {q}-letter Bestvina object exceeds the "
@@ -114,16 +104,10 @@ def find_bestvina_form(
         # prefer the loop itself: its conjugator is the identity
         candidates.insert(0, cert.gamma)
     for h in candidates:
-        # h = sΔ^k with s its one factor, or s = Δ when h is a Δ-power
+        # h = sΔ^k with s its first factor, or s = Δ when h is a Δ-power
         s = h.factors[0] if h.factors else germ.delta[h.source]
-        if h.canonical_length > 1 or normal_form(germ, [s], k) != h:
-            continue
-        bf = BestvinaForm(s, k, q, summits[h])
-        try:
-            check_bestvina(germ, bf, p)
-        except GermError:
-            continue
-        return bf
+        if normal_form(germ, [s], k) == h and fixed_object(germ, s, k, q):
+            return BestvinaForm(s, k, q, summits[h])
     return NoLengthOneRepresentative(
         "no summit of canonical length <= 1 satisfies the twisted product condition"
     )
@@ -131,12 +115,10 @@ def find_bestvina_form(
 
 def bestvina_object(germ: GarsideGerm, bf: BestvinaForm) -> DividedObject:
     """The q-tuple (s, s^{φ^{-k}}, ...) as a divided object, φ_q^p-fixed."""
-    from .divided import fixed_twist
-    p = bf.q * bf.k + 1
-    check_bestvina(germ, bf, p)
-    letters = fixed_twist(germ, bf.s, p, bf.q)
+    from .divided import fixed_object
+    letters = fixed_object(germ, bf.s, bf.k, bf.q)
     if letters is None:
-        raise InternalError("Bestvina object is not fixed by the p-th shift power")
+        raise InternalError("Bestvina form is not a fixed object of the q-divided germ")
     return letters
 
 
@@ -159,21 +141,17 @@ class NecklaceConjugation(NamedTuple):
 
 
 def necklace_conjugator(
-    germ: GarsideGerm,
-    bf: BestvinaForm,
-    dg: DividedGerm | None = None,
-    budget: Budget | int | None = None,
+    germ: GarsideGerm, bf: BestvinaForm, budget: Budget | None = None
 ) -> NecklaceConjugation:
     """
-    Build c = ψ(β₂) from (ε, ..., ε, s₁...s_q) and verify
+    Build 𝒢_q and c = ψ(β₂) from (ε, ..., ε, s₁...s_q), and verify
     Θ_q(sΔ^k)·c = c·Δ_q^p by normal-form equality, after spending one step
     per column of the ladders β₂ slides.
     """
     from .divided import build_divided_germ, ladder_nf, slide, theta_morphism, theta_object
     q, p = bf.q, bf.q * bf.k + 1
     budget = as_budget(budget)
-    if dg is None:
-        dg = build_divided_germ(germ, q, budget)
+    dg = build_divided_germ(germ, q, budget)
     n = q * (q - 1) // 2  # the length of β₂
     budget.spend(q * n, f": the necklace would slide {n} ladders of {q} columns")
     letters = bestvina_object(germ, bf)
@@ -204,28 +182,18 @@ class PeriodicClassification(NamedTuple):
 
 
 def classify_periodic(
-    germ: GarsideGerm, p: int, q: int, budget: Budget | int | None = None
+    germ: GarsideGerm, p: int, q: int, budget: Budget | None = None
 ) -> PeriodicClassification:
     """
     Conjugacy classes of p/q-periodic loops, as connected components of the
     φ_q^p-fixed subgerm of the q-divided germ, built from the base germ.
     """
     from .conjugacy import fixed_subgerm
+    from .divided import twist_exponent
     fixed = fixed_subgerm(germ, p, q, budget)
-    k = (p - 1) // q
+    k = twist_exponent(p, q)
     comps = sorted(sorted(fixed.object_inclusion[o] for o in comp) for comp in fixed.components)
     return PeriodicClassification(p, q, k, comps, [normal_form(germ, [c[0][0]], k) for c in comps])
-
-
-def centralizer_germ(
-    germ: GarsideGerm, p: int, budget: Budget | int | None = None
-) -> FixedGermReport:
-    """Fixed subgerm under φ^p; presents the centralizer of Δ^p where it is a loop."""
-    from .conjugacy import fixed_subgerm
-    report = fixed_subgerm(germ, p, 1, budget)
-    if report.is_empty:
-        raise GermError(f"phi^{p} has no fixed objects: delta^{p} is nowhere a loop")
-    return report
 
 
 def cmd_periodic(germ: GarsideGerm, forms, args, rep) -> bool:
@@ -247,10 +215,10 @@ def cmd_periodic(germ: GarsideGerm, forms, args, rep) -> bool:
         f"Bestvina form: ({germ.simple_name(bf.s)}, k={bf.k})",
     )
     rep.add("bestvina_conjugator", format_word(germ, bf.conjugator))
-    from .divided import build_divided_germ, tuple_name
+    from .divided import tuple_name
     under = tuple_name(germ, bestvina_object(germ, bf))
     rep.add("bestvina_object", under, f"object: {under}")
-    nc = necklace_conjugator(germ, bf, build_divided_germ(germ, bf.q, budget), budget)
+    nc = necklace_conjugator(germ, bf, budget)
     rep.add("necklace_conjugator", format_word(nc.divided.germ, nc.conjugator))
     rep.add("conjugation", "verified", "conjugation verified")
     return True
@@ -267,12 +235,11 @@ def cmd_classify(germ: GarsideGerm, forms, args, rep) -> bool:
 
 
 def cmd_centralizer(germ: GarsideGerm, forms, args, rep) -> bool:
-    try:
-        report = centralizer_germ(germ, args.p, Budget(args.budget))
-    except GermError as exc:
-        if type(exc) is not GermError:
-            raise  # only "no fixed objects" is an answer; the subclasses are failures
-        rep.add("centralizer", "none", str(exc))
+    from .conjugacy import fixed_subgerm
+    report = fixed_subgerm(germ, args.p, 1, Budget(args.budget))
+    if report.is_empty:
+        rep.add("centralizer", "none", f"phi^{args.p} has no fixed objects: "
+                f"delta^{args.p} is nowhere a loop")
         return False
     sub = report.subgerm
     rep.add("fixed_objects", len(sub.objects))

@@ -973,6 +973,34 @@ def newton_fit(germ, samples: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+# -- the twist tests `divided.fixed_twist` and `divided.fixed_object` replaced --
+
+def twisted_letters(germ, s: int, k: int, q: int) -> tuple[int, ...]:
+    """(s, φ^{-k}s, ..., φ^{-(q-1)k}s), one φ-power per letter."""
+    return tuple(germ.phi_power(s, -i * k) for i in range(q))
+
+
+def reference_fixed_twist(germ, s: int, p: int, q: int) -> tuple[int, ...] | None:
+    """
+    The twist of s for p = kq + 1 if φ_q^p fixes it, else None: its image
+    (φ^k f_2, ..., φ^k f_q, φ^{k+1} f_1) is built and compared entry by entry.
+    """
+    k = (p - 1) // q
+    f = twisted_letters(germ, s, k, q)
+    shifted = tuple(germ.phi_power(t, k) for t in f[1:]) + (germ.phi_power(s, k + 1),)
+    return f if shifted == f else None
+
+
+def check_bestvina(germ, bf, p: int) -> None:
+    """Both defining invariants of a Bestvina form, recomputed; raises on any mismatch."""
+    if p != bf.q * bf.k + 1:
+        raise GermError("Bestvina form violates p = qk+1")
+    letters = twisted_letters(germ, bf.s, bf.k, bf.q)
+    prod = germ.fold_product(letters[0], letters[1:])
+    if prod is None or not germ.is_delta(prod):
+        raise GermError("Bestvina product is not delta")
+
+
 # -- helpers only the tests call ------------------------------------------------
 
 def is_greedy(germ, f: NormalForm) -> bool:
@@ -1018,6 +1046,6 @@ def psi_of_beta1(germ, bf, dg=None) -> NormalForm:
 
     if dg is None:
         dg = build_divided_germ(germ, bf.q)
-    letters = bf.twisted_letters(germ)
+    letters = twisted_letters(germ, bf.s, bf.k, bf.q)
     ladders, _, _ = slide(dg, letters, tuple((sid,) for sid in letters), beta1_slides(bf.q))
     return normal_form(dg.germ, ladders)

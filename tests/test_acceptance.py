@@ -21,7 +21,7 @@ from garside import (
     validate,
 )
 from garside.builtins import dual_braid, rank2_counterexample
-from garside.conjugacy import are_conjugate, summit_set
+from garside.conjugacy import are_conjugate, fixed_subgerm, summit_set
 from garside.divided import build_divided_germ, count_subdivisions
 from garside.nerve import (
     enumerate_nondegenerate,
@@ -29,7 +29,6 @@ from garside.nerve import (
     garside_dimension,
 )
 from garside.periodic import (
-    centralizer_germ,
     classify_periodic,
     find_bestvina_form,
     is_periodic,
@@ -100,7 +99,7 @@ def test_criterion_3_necklace_conjugation(a2_div3):
         assert cert is not None
         bf = find_bestvina_form(A2, cert)
         assert A2.simple_name(bf.s) == "s" and bf.k == 1
-        nc = necklace_conjugator(A2, bf, a2_div3)
+        nc = necklace_conjugator(A2, bf)
         under = tuple(A2.simple_named(n) for n in ("s", "t", "s"))
         assert nc.delta_power == delta_power_nf(a2_div3.object_of(under), 4)
         lhs = multiply(a2_div3.germ, nc.theta_image, nc.conjugator)
@@ -142,9 +141,9 @@ def test_criterion_6_cyclic_identities():
 
 def test_criterion_7_centralizers():
     with criterion(7, "centralizer germs of Δ and Δ^2", 1.0):
-        rep = centralizer_germ(A2, 1)
+        rep = fixed_subgerm(A2, 1)
         assert [rep.subgerm.simple_name(a) for a in rep.subgerm.atoms] == ["D"]
-        rep2 = centralizer_germ(A2, 2)
+        rep2 = fixed_subgerm(A2, 2)
         assert len(rep2.subgerm.simples) == len(A2.simples)
         assert len(rep2.subgerm.objects) == len(A2.objects)
 

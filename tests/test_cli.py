@@ -187,7 +187,9 @@ def test_periodic_no_length_one(capsys):
         "--certify",
     )
     assert code == 4
-    assert "no length-one representative" in out
+    assert out == (
+        "2/3-periodic\nno length-one representative: p = 2 is not congruent to 1 mod q = 3\n"
+    )
 
 
 def test_classify(capsys):
@@ -200,6 +202,19 @@ def test_classify(capsys):
 def test_classify_bad_pq_is_usage_error(capsys):
     code, _ = run(capsys, "classify", "--file", A2, "--p", "2", "--q", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("source,pq,err", [
+    (["--builtin", "artin_symmetric", "--param", "5"], ["--p", "2", "--q", "5"],
+     "p = 2 is not congruent to 1 mod q = 5"),
+    (["--file", A2], ["--q", "0"], "q must be positive"),
+    # refused by the p/q rule before a budget of 3,000,000 letters is asked for
+    (["--file", POINT], ["--p", "2", "--q", "3000000"],
+     "p = 2 is not congruent to 1 mod q = 3000000"),
+])
+def test_classify_refuses_a_bad_pq_first(capsys, source, pq, err):
+    assert main(["classify", *source, *pq]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_centralizer(capsys):
@@ -216,6 +231,7 @@ def test_centralizer_no_fixed_objects(capsys):
         capsys, "centralizer", "--builtin", "rank2_counterexample", "--p", "1"
     )
     assert code == 4
+    assert out == "phi^1 has no fixed objects: delta^1 is nowhere a loop\n"
 
 
 def test_nerve_and_export(tmp_path, capsys):

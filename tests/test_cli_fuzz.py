@@ -10,6 +10,12 @@ budget on one walk, so a larger one would ask for the work it admits. Every
 request ends in one of the exit codes 0–4 with its message: 5 is an internal
 error, and an escaped exception would end the process in a traceback and
 exit 1, which reads as a validation failure.
+
+The same holds for hostile germ files: the A₂ file, the one-object file and
+the rank-2 export with lines deleted, duplicated or swapped, or a token
+replaced by a name holding "(", ")" or ",", a reserved word, `len 0`,
+`len -1` or a 20-digit length, fed to the subcommands that read a germ and
+build from it.
 """
 
 import io
@@ -20,8 +26,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from garside.builtins import rank2_counterexample
 from garside.cli import COMMANDS, main
-from garside.germ import DEFAULT_BUDGET
+from garside.germ import DEFAULT_BUDGET, RESERVED, table_to_text
 
 DATA = Path(__file__).parent / "data"
 POINT = str(DATA / "point.germ")
@@ -82,3 +89,50 @@ def test_cli_requests_end_in_an_answer_or_a_refusal(out_file, argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert 0 <= code <= 4, (argv, code, err.getvalue())
+
+
+HOSTILE_FILES = [
+    (DATA / "a2.germ").read_text(encoding="utf-8"),
+    Path(POINT).read_text(encoding="utf-8"),
+    table_to_text(rank2_counterexample()),
+]
+HOSTILE_TOKENS = ["(s)", "s,t", "a(b", "x)", *sorted(RESERVED),
+                  "len 0", "len -1", "len 12345678901234567890"]
+HOSTILE_REQUESTS = [
+    ["validate"], ["nf", "--word", "s t"], ["nf", "--word", "a_x a_y"], ["nf", "--word", "@x D^1"],
+    ["divide", "--m", "2"], ["classify", "--p", "4", "--q", "3"], ["classify", "--p", "1"],
+    ["centralizer", "--p", "1"], ["nerve"], ["cover", "--radius", "2"],
+]
+
+
+@st.composite
+def hostile_files(draw) -> str:
+    lines = draw(st.sampled_from(HOSTILE_FILES)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
+        if kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "replace":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(HOSTILE_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=hostile_files(), request=st.sampled_from(HOSTILE_REQUESTS))
+# A germ with every object line deleted validates; a cover ball needs a basepoint.
+@example(text="garside-germ v1\n", request=["cover", "--radius", "2"])
+def test_cli_on_hostile_germ_files_ends_in_an_answer_or_a_refusal(tmp_path_factory, text, request):
+    germ_file = tmp_path_factory.getbasetemp() / "hostile.germ"
+    germ_file.write_text(text, encoding="utf-8")
+    argv = [request[0], "--file", str(germ_file), *request[1:]]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert 0 <= code <= 4, (text, argv, code, err.getvalue())

@@ -3,6 +3,9 @@ The φ_q^p-fixed subgerm read off the base germ, against the materialized
 route it replaced (oracles.py): build the q-divided germ 𝒢_q, then keep the
 φ_q^p-invariant simples at its fixed objects. Same fixed objects, column
 tuples, product triples and components; at q = 1 the same realized atoms.
+And the twist tests of garside.divided against the ones they replaced: the
+φ^p s = s test of `fixed_twist` against the built and compared shifted
+tuple, and `fixed_object` against that and the Δ-product of the letters.
 """
 
 from functools import cache
@@ -10,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from garside import builtins, parse_germ, validate
+from garside import GermError, builtins, parse_germ, validate
 from garside.conjugacy import fixed_subgerm
-from garside.divided import build_divided_germ
+from garside.divided import build_divided_germ, fixed_object, fixed_twist
+from garside.periodic import BestvinaForm
+from garside.words import identity_nf
 
 import oracles
 
@@ -96,3 +101,32 @@ def test_fixed_subgerm_matches_the_materialized_route(name, p, q):
 def test_every_case_is_counted():
     # 9 bases × 9 (p, q) pairs, less the 10 cases of SLOW
     assert len(CASES) == 71
+
+
+TWIST_BASES = {
+    **{f"artin{n}": (builtins.artin_symmetric, n) for n in (2, 3, 4, 5)},
+    **{f"dual{n}": (builtins.dual_braid, n) for n in (3, 4, 5, 6)},
+    **{f"chamber{n}": (builtins.dihedral_chamber, n) for n in (2, 3, 4, 6)},
+    "rank2": (builtins.rank2_counterexample,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIST_BASES))
+def test_twist_tests_match_the_shifted_tuple_and_the_delta_product(name):
+    build, *param = TWIST_BASES[name]
+    germ = validate(build(*param))
+    outcomes = set()
+    for q in range(1, 7):
+        for k in range(2 * germ.phi_order + 1):
+            p = k * q + 1
+            for s in germ.simples:
+                want = oracles.reference_fixed_twist(germ, s.id, p, q)
+                assert fixed_twist(germ, s.id, k, q) == want
+                try:
+                    oracles.check_bestvina(germ, BestvinaForm(s.id, k, q, identity_nf(s.source)), p)
+                except GermError:
+                    want = None
+                assert fixed_object(germ, s.id, k, q) == want
+                outcomes.add(want is None)
+    # Δ_x is a fixed object at q = 1, k = |φ| - 1; most twists are none
+    assert outcomes == {True, False}

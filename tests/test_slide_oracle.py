@@ -105,7 +105,7 @@ def test_psi_of_beta1_and_beta2_match_slide_loop(name, qs):
     for q in qs:
         dg = divided_germ(name, q)
         for bf in bestvina_forms(germ, q):
-            letters = list(bf.twisted_letters(germ))
+            letters = list(oracles.twisted_letters(germ, bf.s, bf.k, q))
             singles = [[sid] for sid in letters]
             beta1 = divided.beta1_slides(q)
             want, want_words = oracles.reference_apply_slides(germ, dg, singles, beta1)
@@ -116,7 +116,7 @@ def test_psi_of_beta1_and_beta2_match_slide_loop(name, qs):
             start = [[] for _ in range(q - 1)] + [letters]
             want, final = oracles.reference_apply_slides(germ, dg, start, beta2_slides(q))
             assert final == singles
-            assert necklace_conjugator(germ, bf, dg).conjugator == want
+            assert necklace_conjugator(germ, bf).conjugator == want
             checked += 1
     assert checked == NECKLACE_FORMS[name]
 
