@@ -165,7 +165,7 @@ def fixed_subgerm(
     a·b is defined when each column t_i of b left-divides the diagonal d_i of a,
     and is (a_i·t_i). Validated in full.
     """
-    from .divided import fixed_object, fixed_twist, ladder_target, tuple_name, twist_exponent
+    from .divided import fixed_object, fixed_twist, tuple_name, twist_exponent
     k = twist_exponent(p, q)
     norm = [germ.simples[d].length for d in germ.delta]
     firsts = [f.id for f in germ.simples if q * f.length == norm[f.source]]
@@ -174,18 +174,25 @@ def fixed_subgerm(
     objs = [t for t in (fixed_object(germ, f, k, q) for f in firsts) if t is not None]
     if not objs:
         return FixedGermReport(None, [], [], [], {})
-    objs.sort(key=lambda t: (germ.simples[t[0]].source, t))
-    obj_ix = {t: i for i, t in enumerate(objs)}
+    # A twist is determined by its first letter, so first letters key the
+    # objects and order objects and ladders as their tuples would.
+    objs.sort(key=lambda t: (germ.simples[t[0]].source, t[0]))
+    obj_ix = {t[0]: i for i, t in enumerate(objs)}
     lads = []  # (columns, source, target); identities sort first, in object order (1_x = x)
     for i, t in enumerate(objs):
-        for s in germ.divisors[t[0]]:
+        for s, d in germ.divisors[t[0]].items():
+            # The twist of s (fixed iff φ^p s = s) at t has the twist of d = s\t_1
+            # for diagonals: φ^{-k} carries column i and diagonal i to column i+1
+            # and diagonal i+1, and as φ^p s = s, φ^{-k} of the last column is
+            # φ(s), which closes the wrap. So it is a ladder iff g = d·φ^{-k}(s)
+            # is defined, and then it ends at the twist of g.
             cols = fixed_twist(germ, s, k, q)
-            tgt = cols and ladder_target(germ, t, cols)
-            if tgt and tgt not in obj_ix:
-                raise InternalError("a fixed ladder ends outside the fixed objects")
-            if tgt:
-                lads.append((cols, i, obj_ix[tgt]))
-    lads.sort(key=lambda lad: (germ.simples[lad[0][0]].length > 0, lad))
+            g = cols and germ.product_of(d, germ.phi_power(s, -k))
+            if g is not None:
+                if g not in obj_ix:
+                    raise InternalError("a fixed ladder ends outside the fixed objects")
+                lads.append((cols, i, obj_ix[g]))
+    lads.sort(key=lambda lad: (germ.simples[lad[0][0]].length > 0, lad[0][0], lad[1]))
     inclusion = [cols for cols, _, _ in lads]
     ix = {(i, cols[0]): n for n, (cols, i, _) in enumerate(lads)}
     # b at a's target multiplies a iff each t_i ≼ d_i; twists (a's diagonals too)

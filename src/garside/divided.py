@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Iterable
-from math import comb
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,6 +42,7 @@ from .germ import (
     assemble_table,
     chain_counts,
     enumerate_subdivisions,
+    subdivision_count,
     table_to_text,
     validate,
 )
@@ -52,36 +52,10 @@ DividedObject = tuple[int, ...]
 
 
 def count_subdivisions(germ: GarsideGerm, m: int) -> dict[int, int]:
-    """
-    |D_m| per object: an m-subdivision is a multichain 1 ≼ u_1 ≼ ... ≼ u_{m-1}
-    ≼ Δ_x, and C(m-1, n) of them run through a given strict chain of n
-    non-identity steps. So |D_m| = Σ_n N_n·C(m-1, n), in O(dim) for any m.
-    """
+    """|D_m| per object, from its strict chain counts (`germ.subdivision_count`)."""
     if m < 1:
         raise GermError("m must be a positive integer")
-    return {
-        obj.id: sum(n * comb(m - 1, k) for k, n in enumerate(chain_counts(germ, obj.id)))
-        for obj in germ.objects
-    }
-
-
-def ladder_target(
-    germ: GarsideGerm, src: DividedObject, cols: tuple[int, ...]
-) -> DividedObject | None:
-    """Target of the would-be ladder, or None if a diagonal product is undefined."""
-    m = len(src)
-    # The diagonal quotient(s_i, f_i) is None exactly when s_i ≼ f_i fails.
-    diag = [germ.divisors[f].get(s) for s, f in zip(cols, src)]
-    if None in diag:
-        return None
-    tgt = []
-    for i in range(m):
-        nxt = cols[i + 1] if i + 1 < m else germ.phi_simple[cols[0]]
-        g = germ.product_of(diag[i], nxt)
-        if g is None:
-            return None
-        tgt.append(g)
-    return tuple(tgt)
+    return {obj.id: subdivision_count(chain_counts(germ, obj.id), m) for obj in germ.objects}
 
 
 def twist_exponent(p: int, q: int) -> int:
@@ -164,8 +138,7 @@ def build_divided_germ(
     # a 3m-subdivision (s_i, t_i, d_i/t_i), with a unit factor when all s_i or
     # all t_i are identities, so Z(3m) − 2·Z(2m) + Z(m) have none.
     chains = [chain_counts(germ, obj.id) for obj in germ.objects]
-    z1, z2, z3 = (sum(n * comb(j * m - 1, i) for c in chains for i, n in enumerate(c))
-                  for j in (1, 2, 3))
+    z1, z2, z3 = (sum(subdivision_count(c, j * m) for c in chains) for j in (1, 2, 3))
     products = z3 - 2 * z2 + z1
     as_budget(budget).spend((m + 1) * z2 + products, f": the {m}-divided germ would have "
                             f"{z2} simples of {m} columns and {products} products")
@@ -177,12 +150,12 @@ def build_divided_germ(
     objs = enumerate_subdivisions(germ, m)
     object_ix = {f: i for i, f in enumerate(objs)}
     # The 2m-subdivision (s_1, d_1, ..., s_m, d_m) is the ladder with columns
-    # s_i at (s_1·d_1, ..., s_m·d_m).
+    # s_i at (s_1·d_1, ..., s_m·d_m), ending at (d_1·s_2, ..., d_m·φ(s_1)).
     ladders = []
     for sub in enumerate_subdivisions(germ, 2 * m):
         cols = sub[0::2]
         src = tuple(germ.product[(s, d)] for s, d in zip(cols, sub[1::2]))
-        tgt = ladder_target(germ, src, cols)
+        tgt = tuple(map(germ.product_of, sub[1::2], cols[1:] + (germ.phi_simple[cols[0]],)))
         if tgt not in object_ix:
             raise InternalError("ladder target escapes the subdivision set")
         ladders.append(Ladder(src, cols, tgt))
@@ -250,11 +223,14 @@ def slide(
     Evaluate a slide word through ψ from the object src, which the word tuple
     subdivides. The slide σ_i moves the first letter a of word i to the end of
     word i-1 (σ_1 moves φ(a) to the last word); it is the ladder with the
-    single non-identity column a in slot i. Returns the ladder ids, the final
-    object and the final word tuple.
+    single non-identity column a in slot i: it takes f_i = a·d_i to d_i, then
+    f_{i-1} to f_{i-1}·a (f_m to f_m·φ(a) at i = 1, so the one slot d_1 to
+    d_1·φ(a) when m = 1), and slot i's identity column to 1 at a's target.
+    Returns the ladder ids, the final object and the final word tuple.
     """
-    base, m = dg.base, len(src)
+    base = dg.base
     words_t = [list(w) for w in words]
+    ids = tuple(base.identity[base.simples[f].source] for f in src)  # the identity columns
     ladders = []
     cur = src
     for i in slides:
@@ -262,18 +238,16 @@ def slide(
         if not w:
             raise InternalError(f"slide σ_{i} incompatible with the word tuple")
         a = w.pop(0)
-        cols = tuple(
-            a if j == i - 1 else base.identity[base.simples[cur[j]].source] for j in range(m)
-        )
-        tgt = ladder_target(base, cur, cols)
-        if tgt is None:
+        moved = a if i > 1 else base.phi_simple[a]
+        tgt = list(cur)
+        tgt[i - 1] = base.divisors[cur[i - 1]].get(a)
+        if tgt[i - 1] is None or (g := base.product_of(tgt[i - 2], moved)) is None:
             raise InternalError("slide does not map to a ladder")
-        ladders.append(dg.ladder_simple(cur, cols))
-        cur = tgt
-        if i > 1:
-            words_t[i - 2].append(a)
-        else:
-            words_t[-1].append(base.phi_simple[a])
+        tgt[i - 2] = g
+        ladders.append(dg.ladder_simple(cur, ids[:i - 1] + (a,) + ids[i:]))
+        ids = ids[:i - 1] + (base.identity[base.simples[a].target],) + ids[i:]
+        cur = tuple(tgt)
+        words_t[i - 2].append(moved)
     return ladders, cur, tuple(map(tuple, words_t))
 
 

@@ -629,21 +629,30 @@ def chain_counts(germ: GarsideGerm, oid: int) -> list[int]:
     """
     N_0, ..., N_d at one object: N_n strict chains 1 < u_1 < ... < u_n ≼ Δ_x
     (nondegenerate n-simplices), grown by non-identity divisors of the rest
-    of Δ_x, so the frontier empties within dim rounds.
+    ū of Δ_x, so the frontier empties within dim rounds.
     """
-    below_delta = germ.divisors[germ.delta[oid]]
     frontier = {germ.identity[oid]: 1}     # chain end -> chains of this length
     counts = []
     while frontier:
         counts.append(sum(frontier.values()))
         nxt: dict[int, int] = {}
         for u, n in frontier.items():
-            for q in germ.divisors[below_delta[u]]:
+            for q in germ.divisors[germ.complement_[u]]:
                 if germ.simples[q].length:
                     v = germ.product[(u, q)]
                     nxt[v] = nxt.get(v, 0) + n
         frontier = nxt
     return counts
+
+
+def subdivision_count(counts: Iterable[int], m: int) -> int:
+    """
+    Z(m) = Σ_n N_n·C(m-1, n), from the strict chain counts N_n of `chain_counts`
+    (at one object, or summed over objects): an m-subdivision is a multichain
+    1 ≼ u_1 ≼ ... ≼ u_{m-1} ≼ Δ_x, and C(m-1, n) of them run through a given
+    strict chain of n non-identity steps. O(dim) for any m.
+    """
+    return sum(n * math.comb(m - 1, k) for k, n in enumerate(counts))
 
 
 def enumerate_subdivisions(germ: GarsideGerm, m: int) -> list[tuple[int, ...]]:
@@ -659,7 +668,7 @@ def enumerate_subdivisions(germ: GarsideGerm, m: int) -> list[tuple[int, ...]]:
     stack = [(None, germ.identity[obj.id], m) for obj in germ.objects]
     while stack:
         prefix, done, rest = stack.pop()
-        remainder = germ.divisors[germ.delta[germ.simples[done].source]][done]
+        remainder = germ.complement_[done]
         if rest > 1:
             for u in germ.divisors[remainder]:
                 stack.append(((u, prefix), germ.product[(done, u)], rest - 1))

@@ -22,11 +22,13 @@ w·Δ^k and whose edges come from one normal form per word and simple.
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import comb
 from pathlib import Path
 from typing import NamedTuple
 
-from .germ import Budget, GarsideGerm, GermError, InternalError, as_budget, chain_counts, components
+from .germ import (
+    Budget, GarsideGerm, GermError, InternalError, as_budget, chain_counts, components,
+    subdivision_count,
+)
 from .words import NormalForm, format_word, multiply
 
 
@@ -71,7 +73,7 @@ def enumerate_nondegenerate(germ: GarsideGerm, up_to_dim: int) -> list[list[Nerv
         frontier = [
             (x, f + (q,), germ.product[(u, q)])
             for x, f, u in frontier
-            for q in germ.divisors[germ.divisors[germ.delta[x]][u]]
+            for q in germ.divisors[germ.complement_[u]]
             if germ.simples[q].length
         ]
     return levels
@@ -161,7 +163,7 @@ class ZPolynomial:
         return f"ZPolynomial(coefficients={self.coefficients!r})"
 
     def __call__(self, m: int) -> int:
-        return sum(c * comb(m - 1, j) for j, c in enumerate(self.head))
+        return subdivision_count(self.head, m)
 
 
 def fit_z_polynomial(

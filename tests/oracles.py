@@ -730,6 +730,27 @@ def germ_isomorphism(g1: GarsideGerm, g2: GarsideGerm) -> dict[int, int] | None:
     return None
 
 
+# -- the ladder target rule that the subdivision, twist and slide reads replaced --
+
+def ladder_target(
+    germ: GarsideGerm, src: tuple[int, ...], cols: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """Target of the would-be ladder, or None if a diagonal product is undefined."""
+    m = len(src)
+    # The diagonal quotient(s_i, f_i) is None exactly when s_i ≼ f_i fails.
+    diag = [germ.divisors[f].get(s) for s, f in zip(cols, src)]
+    if None in diag:
+        return None
+    tgt = []
+    for i in range(m):
+        nxt = cols[i + 1] if i + 1 < m else germ.phi_simple[cols[0]]
+        g = germ.product_of(diag[i], nxt)
+        if g is None:
+            return None
+        tgt.append(g)
+    return tuple(tgt)
+
+
 # -- the slide loops `divided.slide` replaced ----------------------------------
 
 def reference_theta_simple(dg, sid: int) -> NormalForm:
@@ -737,7 +758,7 @@ def reference_theta_simple(dg, sid: int) -> NormalForm:
     Θ_m of a base simple: slide the column holding s from the Δ slot leftward
     one place per step, one product per ladder.
     """
-    from garside.divided import ladder_target, theta_object
+    from garside.divided import theta_object
 
     base, m = dg.base, dg.m
     s = base.simples[sid]
@@ -785,8 +806,6 @@ def reference_apply_slides(germ, dg, word_tuple, slides) -> tuple[NormalForm, li
     A slide word through ψ, re-evaluating every slot of the word tuple before
     each slide. Returns (ψ-image, final word tuple).
     """
-    from garside.divided import ladder_target
-
     q = len(word_tuple)
     words_t = [list(w) for w in word_tuple]
 
@@ -829,7 +848,7 @@ def reference_apply_slides(germ, dg, word_tuple, slides) -> tuple[NormalForm, li
 
 def ladders_from(germ, src: tuple[int, ...]) -> list:
     """All ladders with the given source, in column-lexicographic order."""
-    from garside.divided import Ladder, ladder_target
+    from garside.divided import Ladder
 
     out = []
     for cols in cartesian(*(germ.divisor_list(f) for f in src)):

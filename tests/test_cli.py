@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from garside import Budget, parse_germ, parse_word, validate
-from garside.cli import main
+from garside.cli import load_germ, main
 from garside.conjugacy import summit_set
 from garside.divided import theta_morphism
 
@@ -382,13 +382,13 @@ def test_divide_keeps_tuple_names_apart(tmp_path, capsys):
 def test_internal_error_exits_5(monkeypatch, capsys):
     from garside import divided
 
-    # Break the ladder check once the divided germ is built, so that the
-    # first slide of the necklace conjugator fails it.
+    # Undefine the base germ's products once the divided germ is built, so
+    # that the first slide of the necklace conjugator reads no target.
     build = divided.build_divided_germ
 
     def build_then_break(*args, **kwargs):
         dg = build(*args, **kwargs)
-        monkeypatch.setattr(divided, "ladder_target", lambda *args: None)
+        monkeypatch.setattr(dg.base, "product_of", lambda a, b: None)
         return dg
 
     monkeypatch.setattr(divided, "build_divided_germ", build_then_break)
@@ -397,16 +397,22 @@ def test_internal_error_exits_5(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: slide does not map to a ladder\n"
 
 
+def load_misreading_products(args):
+    """cli.load_germ, but the germ's product_of, which reads each ladder target, answers -1."""
+    germ = load_germ(args)
+    germ.product_of = lambda a, b: -1
+    return germ
+
+
 CERTIFY = ["periodic", "--file", A2, "--word", "s D^1", "--p", "4", "--q", "3", "--certify"]
 # argv, module and name to patch, replacement, message of the consistency check
 BROKEN = {
-    "divided_target": (["divide", "--file", A2, "--m", "2"], "divided", "ladder_target",
-                       lambda *args: (-1,), "ladder target escapes the subdivision set"),
-    "fixed_target": (["centralizer", "--file", A2, "--p", "1"], "divided", "ladder_target",
-                     lambda *args: (-1,), "a fixed ladder ends outside the fixed objects"),
-    "classify_target": (["classify", "--file", A2, "--p", "4", "--q", "3"], "divided",
-                        "ladder_target", lambda *args: (-1,),
-                        "a fixed ladder ends outside the fixed objects"),
+    "divided_target": (["divide", "--file", A2, "--m", "2"], "cli", "load_germ",
+                       load_misreading_products, "ladder target escapes the subdivision set"),
+    "fixed_target": (["centralizer", "--file", A2, "--p", "1"], "cli", "load_germ",
+                     load_misreading_products, "a fixed ladder ends outside the fixed objects"),
+    "classify_target": (["classify", "--file", A2, "--p", "4", "--q", "3"], "cli", "load_germ",
+                        load_misreading_products, "a fixed ladder ends outside the fixed objects"),
     # Θ_q(γΔ) = Θ_q(γ)·Δ_q^q, one Δ_q^q off the power the check compares with
     "necklace": (CERTIFY, "divided", "theta_morphism",
                  lambda dg, f: theta_morphism(dg, f._replace(delta_exp=f.delta_exp + 1)),

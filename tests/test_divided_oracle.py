@@ -2,7 +2,10 @@
 The m-divided germ read off 2m- and 3m-subdivisions, against the search it
 replaced (oracles.py): every column tuple of divisors filtered into ladders,
 and every pair of ladders tried for a product. Same ladders, same ids, same
-product table in the same order.
+product table in the same order. And the ladder targets read off the
+2m-subdivisions and the slides against the column-by-column rule
+`oracles.ladder_target`, on every ladder and on every slide of Θ_m and of
+the necklace.
 """
 
 from functools import cache
@@ -11,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from garside import builtins, divided, parse_germ, validate
+from garside.divided import Ladder, beta1_slides, fixed_object, theta_object
+from garside.periodic import beta2_slides
 
 import oracles
 
@@ -64,3 +69,40 @@ def test_products_are_the_3m_subdivisions(name, m):
     non_unit = sum(1 for a, b in dg.germ.product if a not in units and b not in units)
     assert non_unit == z(3 * m) - 2 * z(2 * m) + z(m)
 
+
+
+@pytest.mark.parametrize("name,m", CASES)
+def test_ladder_targets_follow_the_column_rule(name, m):
+    germ = base(name)
+    for lad in divided_germ(name, m).ladder_of.values():
+        assert oracles.ladder_target(germ, lad.src, lad.columns) == lad.tgt
+
+
+def check_slides(dg, src, words, slides) -> None:
+    """Run a slide word and check each of its ladders against the column rule."""
+    ladders, end, final = divided.slide(dg, src, words, slides)
+    germ, cur, words = dg.base, src, [list(w) for w in words]
+    for i, lid in zip(slides, ladders, strict=True):
+        a = words[i - 1].pop(0)
+        cols = tuple(
+            a if j == i - 1 else germ.identity[germ.simples[f].source] for j, f in enumerate(cur)
+        )
+        assert dg.ladder_of[lid] == Ladder(cur, cols, oracles.ladder_target(germ, cur, cols))
+        cur = dg.ladder_of[lid].tgt
+        words[i - 2].append(a if i > 1 else germ.phi_simple[a])
+    assert (end, final) == (cur, tuple(map(tuple, words)))
+
+
+@pytest.mark.parametrize("name,m", CASES)
+def test_slides_of_theta_and_the_necklace_follow_the_column_rule(name, m):
+    germ, dg = base(name), divided_germ(name, m)
+    for s in germ.simples:
+        words = ((),) * (m - 1) + ((s.id, germ.complement(s.id)),)
+        check_slides(dg, theta_object(germ, s.source, m), words, beta1_slides(m))
+    # the necklace of every fixed object of 𝒢_m, p = km + 1 (8 of the cases have none)
+    for s in germ.simples:
+        for k in range(germ.phi_order):
+            letters = fixed_object(germ, s.id, k, m)
+            if letters is not None:
+                words = ((),) * (m - 1) + (letters,)
+                check_slides(dg, theta_object(germ, s.source, m), words, beta2_slides(m))

@@ -6,6 +6,9 @@ tuples, product triples and components; at q = 1 the same realized atoms.
 And the twist tests of garside.divided against the ones they replaced: the
 φ^p s = s test of `fixed_twist` against the built and compared shifted
 tuple, and `fixed_object` against that and the Δ-product of the letters.
+And the fixed ladders, whose targets are read off their first letters,
+against every fixed twist filtered through the column rule
+`oracles.ladder_target`.
 """
 
 from functools import cache
@@ -130,3 +133,28 @@ def test_twist_tests_match_the_shifted_tuple_and_the_delta_product(name):
                 outcomes.add(want is None)
     # Δ_x is a fixed object at q = 1, k = |φ| - 1; most twists are none
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(TWIST_BASES))
+def test_fixed_ladders_follow_the_column_rule(name):
+    build, *param = TWIST_BASES[name]
+    germ = validate(build(*param))
+    ladders = 0
+    for q in range(1, 7):
+        for k in range(2 * germ.phi_order + 1):
+            report = fixed_subgerm(germ, k * q + 1, q)
+            objs = report.object_inclusion
+            got = set() if report.is_empty else {
+                (objs[s.source], cols, objs[s.target])
+                for s, cols in zip(report.subgerm.simples, report.simple_inclusion)
+            }
+            want = set()
+            for t in objs:
+                for s in germ.divisors[t[0]]:
+                    cols = fixed_twist(germ, s, k, q)
+                    tgt = cols and oracles.ladder_target(germ, t, cols)
+                    if tgt:
+                        want.add((t, cols, tgt))
+            assert got == want
+            ladders += len(got)
+    assert ladders > 0

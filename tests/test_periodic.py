@@ -20,6 +20,7 @@ from garside.periodic import (
 from garside.words import delta_power_nf
 
 import oracles
+from test_normal_form_oracle import CountingDict
 
 
 def test_is_periodic_examples(a2):
@@ -355,6 +356,30 @@ def test_an_identity_delta_spends_its_q_letters():
     assert [[point.simple_name(s) for s in t] for t in cl.components[0]] == [["id@x"] * 5]
     with pytest.raises(BudgetExceeded, match="fixed objects of 3000000 letters"):
         classify_periodic(point, 3_000_001, 3_000_000)
+
+
+def product_lookups(germ, run, *args) -> int:
+    """Base-germ product lookups of run(germ, *args)."""
+    saved = germ.product
+    germ.product = counting = CountingDict(saved)
+    try:
+        run(germ, *args)
+    finally:
+        germ.product = saved
+    return counting.lookups
+
+
+def test_product_lookups_where_delta_is_the_identity():
+    # classify at q = 10^6 folds the letters of its one fixed object (999,999
+    # lookups) and reads its one ladder's target (1). The necklace at q = 156
+    # reads one product per slide of β₂ (12,090), after 778 to build 𝒢_156
+    # and 155 for the fold. Each target read column by column took 1,999,999
+    # and 1,886,973.
+    point = validate(parse_germ("garside-germ v1\nobject x\n"))
+    assert product_lookups(point, classify_periodic, 1, 10**6) == 1_000_000
+    cert = is_periodic(point, parse_word(point, "@x"), 157, 156)
+    bf = find_bestvina_form(point, cert)
+    assert product_lookups(point, necklace_conjugator, bf) == 13_023
 
 
 def test_centralizer_examples(a2, rank2):
