@@ -10,6 +10,8 @@ builtins: generators for the standard example germs.
 - rank2_counterexample(): two objects x, y with a³ = b³; a Garside germ whose
   endomorphism monoid at x is not itself Garside.
 
+artin_symmetric and dual_braid are intervals [1, Δ] of S_n: p·q is simple iff
+q ≼ p̄ = p⁻¹Δ (triangle inequality), so products are read off lower intervals.
 Each generator returns a GermTable; run germ.validate on it to use it.
 """
 
@@ -59,18 +61,31 @@ def _interval_germ(n: int, length, top: tuple[int, ...], name) -> GermTable:
     identity first), and the products are the length-additive pairs whose
     product stays below top. Δ is top.
     """
-    ln = {
-        p: length(p) for p in permutations(range(n))
-        if length(p) + length(_compose(_perm_inv(p), top)) == length(top)
-    }
-    ix = {p: i for i, p in enumerate(ln)}
-    below = list(ln)[1:]
-    products = [
-        (ix[p], ix[q], ix[r])
-        for p in below for q in below
-        if (r := _compose(p, q)) in ln and ln[p] + ln[q] == ln[r]
-    ]
-    simples = [(name(p), 0, 0, ln[p]) for p in below]
+    bar = {p: _compose(_perm_inv(p), top) for p in permutations(range(n))}
+    ln = {p: length(p) for p, r in bar.items() if length(p) + length(r) == length(top)}
+    perms = list(ln)
+    ix = {p: i for i, p in enumerate(perms)}
+    # Div(x), x's left divisors as a bitset over ids, is x with Div(y) for each
+    # lower cover y = x·a⁻¹, a an atom: a proper prefix q of x lies below one,
+    # as q⁻¹x has a reduced word and every length-one permutation lies below top.
+    inv_atoms = [_perm_inv(a) for a in perms if ln[a] == 1]
+    div = [0] * len(perms)
+    for x in sorted(perms, key=ln.__getitem__):
+        div[ix[x]] = 1 << ix[x]
+        for y in (_compose(x, a) for a in inv_atoms):
+            if ln.get(y) == ln[x] - 1:
+                div[ix[x]] |= div[ix[y]]
+    # pq is a length-additive simple iff q ≼ p̄: as (pq)⁻¹·top = q⁻¹p̄ and ℓp + ℓp̄ = ℓ(top),
+    # each says ℓ(top) ≤ ℓ(pq) + ℓ(q⁻¹p̄) ≤ ℓp + ℓq + ℓ(q⁻¹p̄) is tight. p̄ is simple, as
+    # conjugation by top keeps lengths; ascending q keeps the (p, q) order of a pair scan.
+    products = []
+    for i, p in enumerate(perms[1:], 1):
+        qs = div[ix[bar[p]]] & ~1
+        while qs:
+            j = (qs & -qs).bit_length() - 1
+            qs &= qs - 1
+            products.append((i, j, ix[_compose(p, perms[j])]))
+    simples = [(name(p), 0, 0, ln[p]) for p in perms[1:]]
     return assemble_table(["x"], simples, products, {0: ix[top]})
 
 

@@ -85,8 +85,13 @@ def fixed_twist(germ: GarsideGerm, s: int, k: int, q: int) -> DividedObject | No
 
 def fixed_object(germ: GarsideGerm, s: int, k: int, q: int) -> DividedObject | None:
     """The twist of s if φ_q^p fixes it and its letters multiply to Δ_x: a fixed object of 𝒢_q."""
-    f = fixed_twist(germ, s, k, q)
-    prod = f and germ.fold_product(f[0], f[1:])
+    # φ keeps lengths, so the q letters fold to Δ_x only if q·ℓ(s) = ℓ(Δ_x). At
+    # ℓ(s) = 0 they are identities, whose fold is 1_x = Δ_x iff each is s = 1_x.
+    ls, x = germ.simples[s].length, germ.simples[s].source
+    f = fixed_twist(germ, s, k, q) if q * ls == germ.simples[germ.delta[x]].length else None
+    if f is None or ls == 0:
+        return None if f is None or f.count(s) < q else f
+    prod = germ.fold_product(f[0], f[1:])
     return f if prod is not None and germ.is_delta(prod) else None
 
 

@@ -5,16 +5,18 @@ Everything here works straight off the product dict by exhaustive scanning.
 
 import math
 from fractions import Fraction
-from itertools import product as cartesian
+from itertools import permutations, product as cartesian
 
 from typing import NamedTuple
 
 from garside import NormalForm, invert, multiply, normal_form, power
+from garside.builtins import _compose, _perm_inv
 from garside.conjugacy import FixedGermReport
 from garside.germ import (
     BudgetExceeded,
     GarsideGerm,
     GermError,
+    GermTable,
     GermValidationError,
     InternalError,
     assemble_table,
@@ -1068,3 +1070,27 @@ def psi_of_beta1(germ, bf, dg=None) -> NormalForm:
     letters = twisted_letters(germ, bf.s, bf.k, bf.q)
     ladders, _, _ = slide(dg, letters, tuple((sid,) for sid in letters), beta1_slides(bf.q))
     return normal_form(dg.germ, ladders)
+
+
+# -- the all-pairs product scan that `builtins._interval_germ`'s lower intervals replaced --
+
+def reference_interval_germ(n: int, length, top: tuple[int, ...], name) -> GermTable:
+    """
+    One object x; the simples are the permutations p of n letters below top,
+    length(p) + length(p⁻¹·top) = length(top), in lexicographic order (the
+    identity first), and the products are the length-additive pairs whose
+    product stays below top. Δ is top.
+    """
+    ln = {
+        p: length(p) for p in permutations(range(n))
+        if length(p) + length(_compose(_perm_inv(p), top)) == length(top)
+    }
+    ix = {p: i for i, p in enumerate(ln)}
+    below = list(ln)[1:]
+    products = [
+        (ix[p], ix[q], ix[r])
+        for p in below for q in below
+        if (r := _compose(p, q)) in ln and ln[p] + ln[q] == ln[r]
+    ]
+    simples = [(name(p), 0, 0, ln[p]) for p in below]
+    return assemble_table(["x"], simples, products, {0: ix[top]})

@@ -2,6 +2,8 @@ import hashlib
 
 import pytest
 
+import oracles
+from garside import builtins as germ_builtins
 from garside import parse_word, validate
 from garside.builtins import (
     artin_symmetric,
@@ -68,6 +70,47 @@ TABLE_SHA256 = {
 def test_builtin_tables_are_pinned(family, param):
     text = table_to_text(build(family, param))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TABLE_SHA256[(family, param)]
+
+
+@pytest.mark.parametrize("family", ["artin_symmetric", "dual_braid"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_interval_germs_match_the_pair_scan(monkeypatch, family, n):
+    table = build(family, n)
+    monkeypatch.setattr(germ_builtins, "_interval_germ", oracles.reference_interval_germ)
+    want = build(family, n)
+    assert table == want
+    assert list(table.product.items()) == list(want.product.items())
+
+
+# Permutation compositions per build: n! to find the simples, |S|·|atoms| for
+# the lower covers, one per non-unit product, and for artin the descent steps
+# of the names. Composing every pair of non-identity simples would add
+# (|S| - 1)², 516,961 at artin6.
+COMPOSITIONS = {
+    ("artin_symmetric", 3): 33,
+    ("artin_symmetric", 4): 326,
+    ("artin_symmetric", 5): 3_640,
+    ("artin_symmetric", 6): 49_557,
+    ("dual_braid", 3): 24,
+    ("dual_braid", 4): 136,
+    ("dual_braid", 5): 730,
+    ("dual_braid", 6): 3_865,
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(COMPOSITIONS))
+def test_interval_germ_compositions_are_pinned(monkeypatch, family, n):
+    calls = 0
+    compose = germ_builtins._compose
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(germ_builtins, "_compose", counting)
+    build(family, n)
+    assert calls == COMPOSITIONS[(family, n)]
 
 
 def test_param_ranges():

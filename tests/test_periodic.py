@@ -370,16 +370,16 @@ def product_lookups(germ, run, *args) -> int:
 
 
 def test_product_lookups_where_delta_is_the_identity():
-    # classify at q = 10^6 folds the letters of its one fixed object (999,999
-    # lookups) and reads its one ladder's target (1). The necklace at q = 156
-    # reads one product per slide of β₂ (12,090), after 778 to build 𝒢_156
-    # and 155 for the fold. Each target read column by column took 1,999,999
-    # and 1,886,973.
+    # classify at q = 10^6 reads its one ladder's target (1); its one fixed
+    # object, q identities, is decided by lengths (a fold would add 999,999).
+    # The necklace at q = 156 reads one product per slide of β₂ (12,090),
+    # after 778 to build 𝒢_156 (a fold would add 155). Reading each target
+    # column by column would cost 1,999,999 and 1,886,973.
     point = validate(parse_germ("garside-germ v1\nobject x\n"))
-    assert product_lookups(point, classify_periodic, 1, 10**6) == 1_000_000
+    assert product_lookups(point, classify_periodic, 1, 10**6) == 1
     cert = is_periodic(point, parse_word(point, "@x"), 157, 156)
     bf = find_bestvina_form(point, cert)
-    assert product_lookups(point, necklace_conjugator, bf) == 13_023
+    assert product_lookups(point, necklace_conjugator, bf) == 12_868
 
 
 def test_centralizer_examples(a2, rank2):

@@ -3,10 +3,11 @@ validate against the set-based reference validator in oracles.py: the same
 derived tables, the same quotient of every divisor pair, and the same meet
 and join of every same-source pair, on every builtin, divided and fixed germ,
 and the same verdict and message on mutated product tables, on those germs
-cut below their longest Δ, and on hand-made tables for the checks that no
-other table trips.
+cut below their longest Δ, on cyclic crowns, which fail only the lattice,
+and on hand-made tables for the checks that no other table trips.
 """
 
+import re
 from functools import cache
 from pathlib import Path
 
@@ -281,6 +282,61 @@ def test_antitone_check_never_fires_past_delta(table):
     # checks: see oracles.missing_complement and oracles.antitone_witness.
     witnesses = antitone_witnesses(table)
     assert witnesses is None or witnesses == [None] * len(witnesses)
+
+
+def crown(k: int, order: list[int]) -> GermTable:
+    """
+    The cyclic crown C_k: atoms a_i and length-2 simples w_c for i, c in Z/k,
+    declared in `order` (a_i is i, w_c is k + c, D is 2k), with a_i·a_j =
+    w_{i+j} and a_i·w_c = w_c·a_i = D iff i + c ≡ 0 (mod k). It passes units,
+    associativity, cancellativity and Δ. Every w_c is above every atom, so for
+    k ≥ 2 two atoms have no join and two w's no meet; C_2 is NON_LATTICE.
+    """
+    decls = [(f"a{i}", 0, 0, 1) for i in range(k)] + [(f"w{c}", 0, 0, 2) for c in range(k)]
+    decls.append(("D", 0, 0, 3))
+    ids = {j: 1 + pos for pos, j in enumerate(order)}
+    products = [(ids[i], ids[j], ids[k + (i + j) % k]) for i in range(k) for j in range(k)]
+    for i in range(k):
+        w = ids[k + -i % k]
+        products += [(ids[i], w, ids[2 * k]), (w, ids[i], ids[2 * k])]
+    return assemble_table(["x"], [decls[j] for j in order], products, {})
+
+
+@st.composite
+def crown_table(draw):
+    k = draw(st.integers(1, 6))
+    return k, crown(k, draw(st.permutations(range(2 * k + 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(crown_table())
+def test_crowns_fail_the_lattice_alike(crown_k):
+    k, table = crown_k
+    oracles.reference_delta(copy_table(table))  # raises if a check up to Δ fails
+    got = outcome(validate, table)
+    assert got == outcome(oracles.reference_validate, table)
+    if k == 1:
+        assert got[0] == "ok"
+    else:
+        assert got[0] == "GermValidationError"
+        assert re.fullmatch(r"pair \((a\d, a\d\) lacks a join|w\d, w\d\) lacks a meet)", got[1])
+
+
+def test_crowns_reach_both_lattice_messages():
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(crown_table())
+    def collect(crown_k):
+        if crown_k[0] > 1:
+            seen.add(outcome(validate, crown_k[1])[1].split()[-1])
+
+    collect()
+    assert {"join", "meet"} <= seen
+    # C_2 declared a0, a1, w1, w0, D is NON_LATTICE's a, b, u, v, D
+    c2, non_lattice = crown(2, [0, 1, 3, 2, 4]), parse_germ(NON_LATTICE)
+    assert c2.product == non_lattice.product
+    assert [s.length for s in c2.simples] == [s.length for s in non_lattice.simples]
 
 
 def unit_dropped(pair) -> GermTable:
