@@ -55,6 +55,7 @@ FAILURES = [
     (GermError, "error", EXIT_USAGE),
     (KeyError, "error", EXIT_USAGE),
     (OSError, "error", EXIT_USAGE),
+    (UnicodeDecodeError, "error", EXIT_USAGE),
 ]
 
 

@@ -181,7 +181,7 @@ def build_divided_germ(
     for a in range(len(objs), len(order)):
         lad = order[a]
         diag = [germ.divisors[f][s] for s, f in zip(lad.columns, lad.src)]
-        for t in itertools.product(*map(germ.divisor_list, diag)):
+        for t in itertools.product(*(sorted(germ.divisors[d]) for d in diag)):
             b = simple_ix[(lad.tgt, t)]
             if b >= len(objs):
                 cols = tuple(germ.product[(s, u)] for s, u in zip(lad.columns, t))
@@ -279,7 +279,7 @@ def _theta_ladders(dg: DividedGerm, sid: int) -> list[int]:
     """β₁ on the word tuple (ε, ..., ε, s·s̄) over (1_x, ..., 1_x, Δ_x)."""
     base, m = dg.base, dg.m
     s = base.simples[sid]
-    words = ((),) * (m - 1) + ((sid, base.complement(sid)),)
+    words = ((),) * (m - 1) + ((sid, base.complement[sid]),)
     ladders, end, _ = slide(dg, theta_object(base, s.source, m), words, beta1_slides(m))
     if end != theta_object(base, s.target, m):
         raise InternalError("theta did not land on the expected object")

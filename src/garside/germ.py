@@ -6,16 +6,27 @@ associative, homogeneous product. `validate` runs the Garside-axiom checks
 that no others imply: the table (names, identities, product endpoints and
 lengths, units, associativity), cancellativity, a maximum Δ_x at each object
 equal to any declared one, Δ's targets permuting the objects, φ keeping
-lengths, and meets and joins. Its comments prove the rest: the complement
-bijection and its order reversal, φ an automorphism carrying Δ to Δ, and
-atoms generating. It derives the data every other module consumes:
+lengths, and the existence of meets and joins. Its comments prove the rest:
+the complement bijection and its order reversal, φ an automorphism carrying
+Δ to Δ, and atoms generating.
 
-- ``delta[x]``: the maximal simple at each object,
-- ``complement(s)``: the unique s̄ with s·s̄ = Δ at the source of s,
-- ``phi``: the germ automorphism obtained as the double complement,
-- ``divisors[c]``: the left-divisor index, every a ≼ c mapped to the
-  quotient b with a·b = c,
-- meets and joins answered from divisor bitmasks.
+A GarsideGerm holds only what the kernel (`words`) and the constructions
+read; tests/test_library_surface.py fails on a member that nothing reads.
+That read interface is:
+
+- the table: ``objects``, ``simples``, ``product`` ((a, b) -> a·b),
+  ``identity[x]`` and ``by_source[x]`` (the simples out of x);
+- ``delta[x]``: the maximal simple at each object;
+- ``complement[s]``: the unique s̄ with s·s̄ = Δ at the source of s;
+- ``phi_obj``, ``phi_simple``, ``phi_simple_inv`` and ``phi_order``: φ, the
+  double complement, and its order;
+- ``divisors[c]``: every a ≼ c mapped to the quotient b with a·b = c;
+- ``lmask`` and ``lkey``: the divisor bitmasks that ``meet`` looks up;
+- ``atoms``;
+- ``meet``, ``product_of``, ``fold_product``, ``is_identity``, ``is_delta``,
+  ``phi_power``, ``phi_power_obj`` and the naming helpers.
+
+No join is read: in a Garside germ joins follow from meets and Δ.
 
 Objects and simples are referenced by dense integer ids throughout. The
 checks cost what the product table holds: associativity walks an index of
@@ -303,25 +314,20 @@ class GarsideGerm:
         self.simples = table.simples
         self.product = dict(table.product)
         self.identity = list(table.identity)
-        self.declared_delta = dict(table.declared_delta)
         self.by_source: list[list[int]] = [[] for _ in self.objects]
-        self.by_target: list[list[int]] = [[] for _ in self.objects]
         for s in self.simples:
             self.by_source[s.source].append(s.id)
-            self.by_target[s.target].append(s.id)
         self._object_ix = {obj.name: obj.id for obj in self.objects}
         self._simple_ix = {s.name: s.id for s in self.simples}
         # Filled in by validate():
         self.delta: list[int] = []
         self.divisors: list[dict[int, int]] = []    # c -> {a: b with a·b = c}
-        # Divisor bitmasks: bit i of lmask[s] (rmask[s]) stands for the i-th
-        # simple out of the source (into the target) of s; lkey[x] (rkey[x])
-        # maps the masks of the simples out of (into) x back to them.
+        # Divisor bitmasks: bit i of lmask[s] stands for the i-th simple out
+        # of the source of s; lkey[x] maps the masks of the simples out of x
+        # back to them.
         self.lmask: list[int] = []
-        self.rmask: list[int] = []
         self.lkey: list[dict[int, int]] = []
-        self.rkey: list[dict[int, int]] = []
-        self.complement_: list[int] = []
+        self.complement: list[int] = []
         self.phi_obj: list[int] = []
         self.phi_simple: list[int] = []
         self.phi_simple_inv: list[int] = []
@@ -367,39 +373,11 @@ class GarsideGerm:
                 return None
         return a
 
-    def left_divides(self, a: int, b: int) -> bool:
-        if self.simples[a].source != self.simples[b].source:
-            raise GermError(
-                f"left_divides: source mismatch between {self.simple_name(a)} and {self.simple_name(b)}"
-            )
-        return a in self.divisors[b]
-
-    def quotient(self, a: int, b: int) -> int:
-        """The unique c with a·c = b; error if a does not left-divide b."""
-        c = self.divisors[b].get(a)
-        if c is None:
-            raise GermError(
-                f"{self.simple_name(a)} does not left-divide {self.simple_name(b)}"
-            )
-        return c
-
-    def complement(self, sid: int) -> int:
-        return self.complement_[sid]
-
     def meet(self, a: int, b: int) -> int:
         x = self.simples[a].source
         if x != self.simples[b].source:
             raise GermError("meet: source mismatch")
         return self.lkey[x][self.lmask[a] & self.lmask[b]]
-
-    def join(self, a: int, b: int) -> int:
-        """φ^{-1} of the complement of the greatest common right divisor of ā and b̄."""
-        x = self.simples[a].source
-        if x != self.simples[b].source:
-            raise GermError("join: source mismatch")
-        ca, cb = self.complement_[a], self.complement_[b]
-        g = self.rkey[self.phi_obj[x]][self.rmask[ca] & self.rmask[cb]]
-        return self.phi_simple_inv[self.complement_[g]]
 
     def phi_power_obj(self, oid: int, n: int) -> int:
         for _ in range(n % self.phi_order):
@@ -410,9 +388,6 @@ class GarsideGerm:
         for _ in range(n % self.phi_order):
             sid = self.phi_simple[sid]
         return sid
-
-    def divisor_list(self, sid: int) -> list[int]:
-        return sorted(self.divisors[sid])
 
 
 def _check_table(table: GermTable) -> None:
@@ -477,9 +452,13 @@ def validate(table: GermTable) -> GarsideGerm:
     # bitmasks on the way: left cancellativity says that each (a, c) has one
     # b with a·b = c, which is what divisors[c][a] holds. The unit products
     # (checked above) make every simple a left and a right divisor of itself,
-    # with the identities below it.
+    # with the identities below it. Bit i of rmask[s] stands for the i-th
+    # simple into the target of s; only the checks here read it.
+    by_target: list[list[int]] = [[] for _ in germ.objects]
+    for s in simples:
+        by_target[s.target].append(s.id)
     lbit, rbit = [0] * len(simples), [0] * len(simples)
-    for bits, groups in ((lbit, germ.by_source), (rbit, germ.by_target)):
+    for bits, groups in ((lbit, germ.by_source), (rbit, by_target)):
         for group in groups:
             for i, s in enumerate(group):
                 bits[s] = 1 << i
@@ -503,7 +482,7 @@ def validate(table: GermTable) -> GarsideGerm:
                 f"= {simples[a].name}·{simples[b].name} = {simples[c].name}"
             )
         rmask[c] |= rbit[b]
-    germ.divisors, germ.lmask, germ.rmask = divisors, lmask, rmask
+    germ.divisors, germ.lmask = divisors, lmask
 
     # Δ_x: the maximum of (S_{x->}, ≤), the simple with all of S_{x->} as left
     # divisors (unique by antisymmetry: homogeneity makes ≤ a partial order).
@@ -514,7 +493,7 @@ def validate(table: GermTable) -> GarsideGerm:
         if len(top) != 1:
             raise GermValidationError(f"no maximum in simples out of object {obj.name!r}")
         germ.delta[obj.id] = top[0]
-        declared = germ.declared_delta.get(obj.id)
+        declared = table.declared_delta.get(obj.id)
         if declared is not None and declared != top[0]:
             raise GermValidationError(
                 f"declared delta {simples[declared].name!r} at {obj.name!r} is not the maximum"
@@ -531,7 +510,7 @@ def validate(table: GermTable) -> GarsideGerm:
     # Order reversal: b = a·c gives ā = c·b̄ by associativity and left
     # cancellation, and ā = c·b̄ gives b = a·c by associativity and right
     # cancellation.
-    germ.complement_ = complement = [divisors[germ.delta[s.source]][s.id] for s in simples]
+    germ.complement = complement = [divisors[germ.delta[s.source]][s.id] for s in simples]
 
     # φ = double complement is a germ automorphism carrying Δ to Δ; only its
     # lengths are checked:
@@ -558,12 +537,12 @@ def validate(table: GermTable) -> GarsideGerm:
     # (finite meet-semilattice with top), computed via the complement duality.
     # Divisibility is transitive (by associativity), so the meet of a and b is
     # the simple whose left-divisor bitmask is lmask[a] & lmask[b], if there
-    # is one; GarsideGerm.meet and join answer from the same lookups.
+    # is one; GarsideGerm.meet answers from the same lookup.
     germ.lkey = [{lmask[s]: s for s in out} for out in germ.by_source]
-    germ.rkey = [{rmask[s]: s for s in into} for into in germ.by_target]
+    rkeys = [{rmask[s]: s for s in into} for into in by_target]
     for obj in germ.objects:
         out = germ.by_source[obj.id]
-        lkey, rkey = germ.lkey[obj.id], germ.rkey[germ.phi_obj[obj.id]]
+        lkey, rkey = germ.lkey[obj.id], rkeys[germ.phi_obj[obj.id]]
         for a in out:
             la, ra = lmask[a], rmask[complement[a]]
             for b in out:
@@ -637,7 +616,7 @@ def chain_counts(germ: GarsideGerm, oid: int) -> list[int]:
         counts.append(sum(frontier.values()))
         nxt: dict[int, int] = {}
         for u, n in frontier.items():
-            for q in germ.divisors[germ.complement_[u]]:
+            for q in germ.divisors[germ.complement[u]]:
                 if germ.simples[q].length:
                     v = germ.product[(u, q)]
                     nxt[v] = nxt.get(v, 0) + n
@@ -668,7 +647,7 @@ def enumerate_subdivisions(germ: GarsideGerm, m: int) -> list[tuple[int, ...]]:
     stack = [(None, germ.identity[obj.id], m) for obj in germ.objects]
     while stack:
         prefix, done, rest = stack.pop()
-        remainder = germ.complement_[done]
+        remainder = germ.complement[done]
         if rest > 1:
             for u in germ.divisors[remainder]:
                 stack.append(((u, prefix), germ.product[(done, u)], rest - 1))

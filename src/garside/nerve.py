@@ -73,7 +73,7 @@ def enumerate_nondegenerate(germ: GarsideGerm, up_to_dim: int) -> list[list[Nerv
         frontier = [
             (x, f + (q,), germ.product[(u, q)])
             for x, f, u in frontier
-            for q in germ.divisors[germ.complement_[u]]
+            for q in germ.divisors[germ.complement[u]]
             if germ.simples[q].length
         ]
     return levels
@@ -84,7 +84,7 @@ def special_degeneracy(germ: GarsideGerm, sx: NerveSimplex) -> NerveSimplex:
     prod = germ.fold_product(germ.identity[sx.basepoint], sx.factors)
     if prod is None:
         raise GermError("tuple is not a nerve simplex (product escapes the simples)")
-    last = germ.quotient(prod, germ.delta[sx.basepoint])
+    last = germ.complement[prod]
     return NerveSimplex(sx.basepoint, sx.factors + (last,))
 
 
@@ -122,7 +122,7 @@ def check_cyclic_identities(germ: GarsideGerm) -> CyclicReport:
     bad_shift: list[NerveSimplex] = []
     bad_power: list[NerveSimplex] = []
     for s in germ.simples:
-        bar = germ.complement(s.id)
+        bar = germ.complement[s.id]
         sx = NerveSimplex(s.source, (s.id, bar))
         if special_degeneracy(germ, face_zero(germ, sx)) != NerveSimplex(
             s.target, (bar, germ.phi_simple[s.id])
@@ -233,7 +233,7 @@ def cover_ball(
         nxt = []
         for w, a in zip(words, ends):
             if a not in follow:
-                bar = germ.complement(a)
+                bar = germ.complement[a]
                 follow[a] = [b for b in inner[simples[a].target]
                              if germ.is_identity(germ.meet(bar, b))]
             nxt.extend(w + (b,) for b in follow[a])

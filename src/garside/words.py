@@ -81,7 +81,7 @@ def _normalize(germ: GarsideGerm, source: int, factors: list[int], k: int) -> No
         raise BudgetExceeded(
             f"word exceeds the {MAX_WORD_FACTORS}-factor computation limit"
         )
-    simples, delta, complement = germ.simples, germ.delta, germ.complement_
+    simples, delta, complement = germ.simples, germ.delta, germ.complement
     lkey, lmask, product, divisors = germ.lkey, germ.lmask, germ.product, germ.divisors
     # The word so far is out·Δ^d, with out greedy.
     out: list[int] = []
@@ -143,7 +143,7 @@ def invert(germ: GarsideGerm, f: NormalForm) -> NormalForm:
     """The groupoid inverse, via s^{-1} = complement(s)·Δ^{-1}."""
     res = delta_power_nf(target(germ, f), -f.delta_exp)
     for sid in reversed(f.factors):
-        bar = germ.complement(sid)
+        bar = germ.complement[sid]
         piece = _normalize(germ, germ.simples[bar].source, [bar], -1)
         res = multiply(germ, res, piece)
     return res

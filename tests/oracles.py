@@ -51,6 +51,23 @@ def minima(germ, subset: set[int]) -> list[int]:
     return [m for m in subset if all(divides(germ, m, c) for c in subset)]
 
 
+def join(germ, a: int, b: int) -> int:
+    """a ∨ b: the shortest simple that a and b both left-divide, read off germ.divisors."""
+    out = germ.by_source[germ.simples[a].source]
+    ups = [c for c in out if a in germ.divisors[c] and b in germ.divisors[c]]
+    return min(ups, key=lambda c: germ.simples[c].length)
+
+
+def copy_table(t) -> GermTable:
+    """
+    A fresh GermTable with the same ids and product order. A validated germ
+    copies as a table that declares every Δ_x, as the divided and fixed germs
+    are built.
+    """
+    delta = t.declared_delta if isinstance(t, GermTable) else dict(enumerate(t.delta))
+    return GermTable(t.objects, t.simples, dict(t.product), list(t.identity), dict(delta))
+
+
 def subdivision_tuples(germ, oid: int, m: int) -> list[tuple[int, ...]]:
     """All m-tuples of simples with product Δ, by raw cartesian scan."""
     out = []
@@ -172,7 +189,7 @@ def recursive_garside_dimension(germ) -> int:
                 return depth[sid]
             d = 0
             for c in germ.by_source[obj.id]:
-                if c != sid and germ.left_divides(sid, c):
+                if c != sid and sid in germ.divisors[c]:
                     d = max(d, 1 + longest(c))
             depth[sid] = d
             return d
@@ -292,7 +309,7 @@ def reference_delta(table):
                 f"no maximum in simples out of object {obj.name!r}"
             )
         germ.delta[obj.id] = top[0]
-        declared = germ.declared_delta.get(obj.id)
+        declared = table.declared_delta.get(obj.id)
         if declared is not None and declared != top[0]:
             raise GermValidationError(
                 f"declared delta {simples[declared].name!r} at {obj.name!r} is not the maximum"
@@ -313,7 +330,7 @@ def antitone_witness(germ, out: list[int]) -> tuple[int, int] | None:
     for a in out:
         for b in out:
             le = a in germ.left_divs[b]
-            ge = germ.complement_[b] in germ.right_divs[germ.complement_[a]]
+            ge = germ.complement[b] in germ.right_divs[germ.complement[a]]
             if le != ge:
                 return a, b
     return None
@@ -343,7 +360,7 @@ def reference_validate(table):
     that it omits.
     """
     germ = reference_delta(table)
-    germ.meet_table, germ.join_table = {}, {}
+    germ.meet_table = {}
     simples = germ.simples
     product = germ.product
     germ.phi_obj = [simples[germ.delta[oid]].target for oid in range(len(germ.objects))]
@@ -357,12 +374,14 @@ def reference_validate(table):
         raise GermValidationError(
             f"no complement: {simples[missing].name!r} does not left-divide its delta"
         )
-    germ.complement_ = [germ.lquot[(s.id, germ.delta[s.source])] for s in simples]
+    germ.complement = [germ.lquot[(s.id, germ.delta[s.source])] for s in simples]
+    by_target: list[set[int]] = [set() for _ in germ.objects]
+    for s in simples:
+        by_target[s.target].add(s.id)
     for obj in germ.objects:
         out = germ.by_source[obj.id]
-        into = germ.by_target[germ.phi_obj[obj.id]]
-        image = {germ.complement_[s] for s in out}
-        if len(image) != len(out) or image != set(into):
+        image = {germ.complement[s] for s in out}
+        if len(image) != len(out) or image != by_target[germ.phi_obj[obj.id]]:
             raise GermValidationError(
                 f"complement is not a bijection at object {obj.name!r}"
             )
@@ -374,7 +393,7 @@ def reference_validate(table):
             )
 
     # φ = double complement; must be a germ automorphism.
-    germ.phi_simple = [germ.complement_[germ.complement_[s.id]] for s in simples]
+    germ.phi_simple = [germ.complement[germ.complement[s.id]] for s in simples]
     check_automorphism(germ, Automorphism(tuple(germ.phi_obj), tuple(germ.phi_simple)), "phi")
     germ.phi_simple_inv = [0] * len(simples)
     for a, b in enumerate(germ.phi_simple):
@@ -398,7 +417,7 @@ def reference_validate(table):
                 germ.meet_table[(a, b)] = m
                 # join(a, b) = complement^{-1} of the greatest common
                 # right-divisor of the complements.
-                ca, cb = germ.complement_[a], germ.complement_[b]
+                ca, cb = germ.complement[a], germ.complement[b]
                 rcommon = germ.right_divs[ca] & germ.right_divs[cb]
                 g = max(rcommon, key=lambda c: (length[c], -c))
                 if any(c not in germ.right_divs[g] for c in rcommon):
@@ -410,7 +429,6 @@ def reference_validate(table):
                     raise GermValidationError(
                         f"pair ({simples[a].name}, {simples[b].name}) lacks a join"
                     )
-                germ.join_table[(a, b)] = j
 
     # Atoms generate: every simple is a product of atoms.
     nontrivial_products = {
@@ -487,13 +505,13 @@ def fixpoint_normalize(germ, source: int, factors: list[int], k: int) -> NormalF
         # One left-to-right greedy sweep.
         for i in range(len(factors) - 1):
             a, b = factors[i], factors[i + 1]
-            u = germ.meet(germ.complement(a), b)
+            u = germ.meet(germ.complement[a], b)
             if not germ.is_identity(u):
                 prod = germ.product_of(a, u)
                 if prod is None:
                     raise InternalError("normal form: a·u is not simple although u ≤ complement(a)")
                 factors[i] = prod
-                factors[i + 1] = germ.quotient(u, b)
+                factors[i + 1] = germ.divisors[b][u]
                 changed = True
     return NormalForm(source, tuple(factors), k)
 
@@ -542,7 +560,7 @@ def closed_form_inverse(germ, f: NormalForm) -> NormalForm:
     """
     ell, k = len(f.factors), f.delta_exp
     factors = tuple(
-        germ.phi_power(germ.complement(f.factors[i - 1]), k + ell - i) for i in range(ell, 0, -1)
+        germ.phi_power(germ.complement[f.factors[i - 1]], k + ell - i) for i in range(ell, 0, -1)
     )
     return NormalForm(target(germ, f), factors, -k - ell)
 
@@ -604,7 +622,7 @@ def reference_psi_star(germ, psi: Automorphism, sid: int) -> int:
     """Iterated join of the psi-orbit of a simple."""
     u = sid
     while True:
-        v = germ.join(u, psi.simple_map[u])
+        v = join(germ, u, psi.simple_map[u])
         if v == u:
             return u
         u = v
@@ -669,8 +687,8 @@ def germ_isomorphism(g1: GarsideGerm, g2: GarsideGerm) -> dict[int, int] | None:
 
     def profile(g: GarsideGerm, sid: int) -> tuple:
         s = g.simples[sid]
-        return (s.length, len(g.divisors[sid]), g.rmask[sid].bit_count(),
-                g.is_delta(sid), g.simples[g.phi_simple[sid]].length)
+        return (s.length, len(g.divisors[sid]), g.is_delta(sid),
+                g.simples[g.phi_simple[sid]].length)
 
     p1 = {s.id: profile(g1, s.id) for s in g1.simples}
     buckets: dict[tuple, list[int]] = {}
@@ -853,7 +871,7 @@ def ladders_from(germ, src: tuple[int, ...]) -> list:
     from garside.divided import Ladder
 
     out = []
-    for cols in cartesian(*(germ.divisor_list(f) for f in src)):
+    for cols in cartesian(*(sorted(germ.divisors[f]) for f in src)):
         tgt = ladder_target(germ, src, cols)
         if tgt is not None:
             out.append(Ladder(src, cols, tgt))
@@ -1030,7 +1048,7 @@ def is_greedy(germ, f: NormalForm) -> bool:
         if germ.is_identity(sid) or germ.is_delta(sid):
             return False
     for a, b in zip(f.factors, f.factors[1:]):
-        if not germ.is_identity(germ.meet(germ.complement(a), b)):
+        if not germ.is_identity(germ.meet(germ.complement[a], b)):
             return False
     return True
 
@@ -1046,7 +1064,7 @@ def phi_on_morphism(germ, f: NormalForm, n: int) -> NormalForm:
 
 def diagonals(germ, lad) -> tuple[int, ...]:
     """The diagonals quotient(s_i, f_i) of a ladder with columns s_i at the object f."""
-    return tuple(germ.quotient(c, f) for c, f in zip(lad.columns, lad.src))
+    return tuple(germ.divisors[f][c] for c, f in zip(lad.columns, lad.src))
 
 
 def theta_simple(dg, sid: int) -> NormalForm:

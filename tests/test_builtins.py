@@ -183,9 +183,9 @@ def test_dihedral_delta_squared_is_loop(m):
 def test_rank2_lattice_shape(rank2):
     x = rank2.object_named("x")
     a, b = rank2.simple_named("a_x"), rank2.simple_named("b_x")
-    assert rank2.simple_name(rank2.join(a, b)) == "D_x"
+    assert rank2.simple_name(oracles.join(rank2, a, b)) == "D_x"
     assert rank2.meet(a, b) == rank2.identity[x]
-    assert rank2.simple_name(rank2.complement(a)) == "aa_y"
+    assert rank2.simple_name(rank2.complement[a]) == "aa_y"
 
 
 def test_rank2_common_multiples_no_least(rank2):

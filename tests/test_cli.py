@@ -440,6 +440,13 @@ def usage_error(capsys, *argv) -> str:
     return err
 
 
+def test_non_utf8_germ_file_is_usage_error(tmp_path, capsys):
+    germ_file = tmp_path / "latin1.germ"
+    germ_file.write_bytes(b"garside-germ v1\nobject \xff\n")
+    err = usage_error(capsys, "validate", "--file", str(germ_file))
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 23: invalid start byte\n"
+
+
 def test_flag_of_another_subcommand_is_usage_error(capsys):
     err = usage_error(capsys, "nf", "--file", A2, "--word", "s", "--m", "3")
     assert "unrecognized arguments: --m 3" in err

@@ -12,10 +12,11 @@ error, and an escaped exception would end the process in a traceback and
 exit 1, which reads as a validation failure.
 
 The same holds for hostile germ files: the A₂ file, the one-object file and
-the rank-2 export with lines deleted, duplicated or swapped, or a token
+the rank-2 export with lines deleted, duplicated or swapped, a token
 replaced by a name holding "(", ")" or ",", a reserved word, `len 0`,
-`len -1` or a 20-digit length, fed to the subcommands that read a germ and
-build from it.
+`len -1` or a 20-digit length, or the byte 0xff, which is not UTF-8,
+written into a line, fed to the subcommands that read a germ and build
+from it.
 """
 
 import io
@@ -105,12 +106,16 @@ HOSTILE_REQUESTS = [
 ]
 
 
+# Written out with surrogateescape as the byte 0xff, which never occurs in UTF-8.
+NON_UTF8 = "\udcff"
+
+
 @st.composite
 def hostile_files(draw) -> str:
     lines = draw(st.sampled_from(HOSTILE_FILES)).splitlines()
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "byte"]))
         if kind == "delete" and len(lines) > 1:
             del lines[i]
         elif kind == "duplicate":
@@ -122,6 +127,9 @@ def hostile_files(draw) -> str:
             tokens = lines[i].split(" ")
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(HOSTILE_TOKENS))
             lines[i] = " ".join(tokens)
+        elif kind == "byte":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + NON_UTF8 + lines[i][at:]
     return "\n".join(lines) + "\n"
 
 
@@ -129,9 +137,10 @@ def hostile_files(draw) -> str:
 @given(text=hostile_files(), request=st.sampled_from(HOSTILE_REQUESTS))
 # A germ with every object line deleted validates; a cover ball needs a basepoint.
 @example(text="garside-germ v1\n", request=["cover", "--radius", "2"])
+@example(text=f"garside-germ v1\nobject {NON_UTF8}\n", request=["validate"])
 def test_cli_on_hostile_germ_files_ends_in_an_answer_or_a_refusal(tmp_path_factory, text, request):
     germ_file = tmp_path_factory.getbasetemp() / "hostile.germ"
-    germ_file.write_text(text, encoding="utf-8")
+    germ_file.write_bytes(text.encode("utf-8", "surrogateescape"))
     argv = [request[0], "--file", str(germ_file), *request[1:]]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(argv)

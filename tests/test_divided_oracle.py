@@ -97,7 +97,7 @@ def check_slides(dg, src, words, slides) -> None:
 def test_slides_of_theta_and_the_necklace_follow_the_column_rule(name, m):
     germ, dg = base(name), divided_germ(name, m)
     for s in germ.simples:
-        words = ((),) * (m - 1) + ((s.id, germ.complement(s.id)),)
+        words = ((),) * (m - 1) + ((s.id, germ.complement[s.id]),)
         check_slides(dg, theta_object(germ, s.source, m), words, beta1_slides(m))
     # the necklace of every fixed object of 𝒢_m, p = km + 1 (8 of the cases have none)
     for s in germ.simples:

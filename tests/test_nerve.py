@@ -186,7 +186,7 @@ def test_cyclic_identities_catch_a_wrong_shift(a2):
     listed = cyclic_identities_on_every_simplex(broken, 3)
     assert not report.ok and not listed.ok
     s, t = a2.simple_named("s"), a2.simple_named("t")
-    assert NerveSimplex(0, (s, a2.complement(s))) in report.shift_counterexamples
+    assert NerveSimplex(0, (s, a2.complement[s])) in report.shift_counterexamples
     assert NerveSimplex(0, (t,)) in report.power_counterexamples
     assert {sx.factors for sx in report.shift_counterexamples} <= {
         sx.factors for sx in listed.shift_counterexamples
