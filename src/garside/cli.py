@@ -34,6 +34,7 @@ from .germ import (
     BudgetExceeded,
     GarsideGerm,
     GermError,
+    GermSyntaxError,
     GermValidationError,
     InternalError,
     parse_germ,
@@ -55,7 +56,6 @@ FAILURES = [
     (GermError, "error", EXIT_USAGE),
     (KeyError, "error", EXIT_USAGE),
     (OSError, "error", EXIT_USAGE),
-    (UnicodeDecodeError, "error", EXIT_USAGE),
 ]
 
 
@@ -85,7 +85,14 @@ def load_germ(args) -> GarsideGerm:
         return validate(builtins.build(args.builtin, args.param))
     if args.param is not None:
         raise GermError("--param goes with --builtin, not --file")
-    return validate(parse_germ(Path(args.file).read_text(encoding="utf-8")))
+    data = Path(args.file).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line of the first bad byte, counted as parse_germ counts lines.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise GermSyntaxError(f"not UTF-8 (byte 0x{data[exc.start]:02x})", line) from None
+    return validate(parse_germ(text))
 
 
 # flag -> add_argument keywords; a subcommand takes those COMMANDS lists for it.

@@ -24,7 +24,7 @@ from .germ import (
     validate,
 )
 from .words import (
-    NormalForm, as_loop, delta_power_nf, format_word, identity_nf, invert, multiply, report_nf,
+    NormalForm, as_loop, format_word, identity_nf, invert, multiply, normal_form, report_nf,
 )
 
 
@@ -110,8 +110,7 @@ def summit_set(
                 if germ.is_identity(sid):
                     continue
                 budget.spend()
-                c = NormalForm(h.source, (sid,), 0) if not germ.is_delta(sid) \
-                    else delta_power_nf(h.source, 1)
+                c = normal_form(germ, [sid])
                 h2 = conjugate(germ, h, c)
                 if (h2.inf, h2.sup) != key or h2 in found:
                     continue

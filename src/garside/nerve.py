@@ -29,7 +29,7 @@ from .germ import (
     Budget, GarsideGerm, GermError, InternalError, as_budget, chain_counts, components,
     subdivision_count,
 )
-from .words import NormalForm, format_word, multiply
+from .words import NormalForm, format_word, normal_form
 
 
 class NerveSimplex(NamedTuple):
@@ -47,12 +47,6 @@ def garside_dimension(germ: GarsideGerm) -> int:
     for sid in sorted(range(len(germ.simples)), key=lambda s: germ.simples[s].length):
         depth[sid] = max((depth[d] + 1 for d in germ.divisors[sid] if d != sid), default=0)
     return max(depth, default=0)
-
-
-def nondegenerate_counts(germ: GarsideGerm) -> list[int]:
-    """Nondegenerate n-simplices for n = 0 … dim: Σ_x N_n(x) over `chain_counts`."""
-    per_object = [chain_counts(germ, obj.id) for obj in germ.objects]
-    return [sum(col) for col in zip_longest(*per_object, fillvalue=0)]
 
 
 def enumerate_nondegenerate(germ: GarsideGerm, up_to_dim: int) -> list[list[NerveSimplex]]:
@@ -136,52 +130,18 @@ def check_cyclic_identities(germ: GarsideGerm) -> CyclicReport:
     return CyclicReport(2 * len(germ.simples), bad_shift, bad_power)
 
 
-class ZPolynomial:
-    """Z(m) = Σ_j c_j·C(m-1, j); the zeros padding c past its degree are a count."""
-
-    __slots__ = ("head", "zeros")
-
-    def __init__(self, coefficients: tuple, zeros: int = 0):
-        k = max((j + 1 for j, c in enumerate(coefficients) if c), default=0)
-        self.head, self.zeros = tuple(coefficients[:k]), len(coefficients) - k + zeros
-
-    @property
-    def coefficients(self) -> tuple:
-        return self.head + (0,) * self.zeros
-
-    @property
-    def degree(self) -> int:
-        return len(self.head) - 1
-
-    def __eq__(self, other):
-        return type(other) is ZPolynomial and (self.head, self.zeros) == (other.head, other.zeros)
-
-    def __hash__(self) -> int:
-        return hash((self.head, self.zeros))
-
-    def __repr__(self) -> str:
-        return f"ZPolynomial(coefficients={self.coefficients!r})"
-
-    def __call__(self, m: int) -> int:
-        return subdivision_count(self.head, m)
-
-
-def fit_z_polynomial(
-    germ: GarsideGerm, samples: int, budget: Budget | None = None
-) -> ZPolynomial:
+def fit_z_polynomial(germ: GarsideGerm) -> tuple[int, ...]:
     """
-    Z(m) = |D_m|: coefficient n is Σ_x N_n(x) (`chain_counts`), padded with
-    zeros to `samples` terms, one budget step each. The degree must be the
-    Garside dimension, found by an independent divisor-DAG walk.
+    N_0 … N_dim, the strict chains of n steps (`chain_counts`) summed over objects:
+    Z(m) = |D_m| = Σ_n N_n·C(m-1, n) (`subdivision_count`). The degree must be
+    the Garside dimension, found by an independent divisor-DAG walk.
     """
+    per_object = [chain_counts(germ, obj.id) for obj in germ.objects]
+    totals = tuple(sum(col) for col in zip_longest(*per_object, fillvalue=0))
     dim = garside_dimension(germ)
-    if samples < dim + 2:
-        raise GermError(f"need at least dim+2 = {dim + 2} samples")
-    as_budget(budget).spend(samples, f": the polynomial would have {samples} coefficients")
-    totals = nondegenerate_counts(germ)
     if germ.objects and len(totals) != dim + 1:
         raise InternalError(f"strict chains of length {len(totals) - 1} in dimension {dim}")
-    return ZPolynomial(tuple(totals), samples - len(totals))
+    return totals
 
 
 # -- bounded universal-cover ball -------------------------------------------
@@ -253,7 +213,7 @@ def cover_ball(
             for t in germ.by_source[at]:
                 if not simples[t].length:
                     continue
-                g = multiply(germ, NormalForm(basepoint, w, 0), NormalForm(at, (t,), 0))
+                g = normal_form(germ, w + (t,))
                 for k in range(radius - g.sup + 1):
                     i = index[NormalForm(basepoint, w, k)]
                     j = index[NormalForm(basepoint, g.factors, g.delta_exp + k)]
@@ -313,14 +273,15 @@ def cmd_validate(germ: GarsideGerm, forms, args, rep) -> bool:
 
 
 def cmd_nerve(germ: GarsideGerm, forms, args, rep) -> bool:
-    dim = garside_dimension(germ)
+    counts = fit_z_polynomial(germ)
+    dim = max(len(counts) - 1, 0)       # the Garside dimension the fit checked
     top = args.dim if args.dim is not None else dim
     if top < 0:
         raise GermError("dimension must be non-negative")
     # One budget pays for the count lines and the listed simplices.
     budget = Budget(args.budget)
     budget.spend(top + 1, f": nerve would print {top + 1} simplex counts")
-    totals = nondegenerate_counts(germ)[: top + 1]
+    totals = counts[: top + 1]
     if args.out:
         listed = sum(totals)
         budget.spend(listed, f": the simplex list would hold {listed} simplices")
@@ -339,11 +300,16 @@ def cmd_nerve(germ: GarsideGerm, forms, args, rep) -> bool:
 
 
 def cmd_zpoly(germ: GarsideGerm, forms, args, rep) -> bool:
-    samples = args.samples if args.samples is not None else garside_dimension(germ) + 2
-    z = fit_z_polynomial(germ, samples, Budget(args.budget))
-    rep.add("degree", z.degree)
-    rep.add("newton_coefficients", (" ".join(map(str, z.head)) + " 0" * z.zeros).lstrip())
-    rep.add_lazy((f"Z({m})", z(m)) for m in range(1, samples + 3))
+    counts = fit_z_polynomial(germ)
+    dim = max(len(counts) - 1, 0)       # the Garside dimension the fit checked
+    samples = args.samples if args.samples is not None else dim + 2
+    if samples < dim + 2:
+        raise GermError(f"need at least dim+2 = {dim + 2} samples")
+    Budget(args.budget).spend(samples, f": the polynomial would have {samples} coefficients")
+    rep.add("degree", len(counts) - 1)
+    rep.add("newton_coefficients",
+            (" ".join(map(str, counts)) + " 0" * (samples - len(counts))).lstrip())
+    rep.add_lazy((f"Z({m})", subdivision_count(counts, m)) for m in range(1, samples + 3))
     return True
 
 

@@ -17,6 +17,8 @@ Processing in Groups, ch. 9): (a, b) becomes (a·u, v) with u·v = b and
 u = meet(complement(a), b), until the first u = 1. Each append costs one
 repair pass, at most the canonical length so far. A Δ of the input, or one
 the repair makes at the front, migrates right by Δ·g = g^{φ^{-1}}·Δ.
+`delta_power` is the one Δ-power maker: where Δ_x is an identity, Δ^k at x
+is that identity, with Δ-exponent 0, so each element keeps one normal form.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ def as_loop(germ: GarsideGerm, f: NormalForm) -> NormalForm:
 
 def identity_nf(oid: int) -> NormalForm:
     return NormalForm(oid, (), 0)
-
-
-def delta_power_nf(oid: int, k: int) -> NormalForm:
-    return NormalForm(oid, (), k)
 
 
 def delta_power(germ: GarsideGerm, oid: int, k: int) -> NormalForm:
@@ -141,7 +139,7 @@ def multiply(germ: GarsideGerm, f: NormalForm, g: NormalForm) -> NormalForm:
 
 def invert(germ: GarsideGerm, f: NormalForm) -> NormalForm:
     """The groupoid inverse, via s^{-1} = complement(s)·Δ^{-1}."""
-    res = delta_power_nf(target(germ, f), -f.delta_exp)
+    res = delta_power(germ, target(germ, f), -f.delta_exp)
     for sid in reversed(f.factors):
         bar = germ.complement[sid]
         piece = _normalize(germ, germ.simples[bar].source, [bar], -1)

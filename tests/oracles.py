@@ -23,7 +23,7 @@ from garside.germ import (
     components,
     validate,
 )
-from garside.words import MAX_WORD_FACTORS, _delta_token, delta_power_nf, identity_nf, target
+from garside.words import MAX_WORD_FACTORS, _delta_token, delta_power, identity_nf, target
 
 
 def divides(germ, a: int, b: int) -> bool:
@@ -149,7 +149,7 @@ def brute_summit_set(germ, g: NormalForm, conj_len: int = 6) -> set[NormalForm]:
     conjugates = set()
     for w in positive_elements(germ, g.source, conj_len):
         for j in range(germ.phi_order):
-            c = multiply(germ, w, delta_power_nf(_target(germ, w), j))
+            c = multiply(germ, w, delta_power(germ, _target(germ, w), j))
             h = multiply(germ, invert(germ, c), multiply(germ, g, c))
             conjugates.add(h)
     best_inf = max(h.inf for h in conjugates)
@@ -544,7 +544,7 @@ def fixpoint_parse_word(germ, text: str) -> NormalForm:
     for tok in toks:
         d = _delta_token(tok)
         if d is not None:
-            res = fixpoint_multiply(germ, res, delta_power_nf(target(germ, res), d))
+            res = fixpoint_multiply(germ, res, delta_power(germ, target(germ, res), d))
         else:
             sid = germ.simple_named(tok)
             piece = fixpoint_normalize(germ, germ.simples[sid].source, [sid], 0)
@@ -567,7 +567,7 @@ def closed_form_inverse(germ, f: NormalForm) -> NormalForm:
 
 def reference_is_periodic(germ, gamma: NormalForm, p: int, q: int) -> bool:
     """γ^q = Δ^p, decided by computing all of γ^q (q - 1 products)."""
-    return power(germ, gamma, q) == delta_power_nf(gamma.source, p)
+    return power(germ, gamma, q) == delta_power(germ, gamma.source, p)
 
 
 # -- general automorphisms: the materialized route fixed_subgerm(germ, p, q) replaced

@@ -14,7 +14,7 @@ from garside.builtins import (
 )
 from garside.germ import GermError, table_to_text
 from garside.nerve import garside_dimension
-from garside.words import delta_power_nf, is_loop
+from garside.words import delta_power, is_loop
 from paper_checks import common_multiple_report, left_divides_morphism
 
 
@@ -177,7 +177,7 @@ def test_dihedral_delta_squared_is_loop(m):
     germ = validate(dihedral_chamber(m))
     assert germ.phi_order == 2
     for obj in germ.objects:
-        assert is_loop(germ, delta_power_nf(obj.id, 2))
+        assert is_loop(germ, delta_power(germ, obj.id, 2))
 
 
 def test_rank2_lattice_shape(rank2):
@@ -193,7 +193,7 @@ def test_rank2_common_multiples_no_least(rank2):
     b2sq = parse_word(rank2, "@x bb_x")
     report = common_multiple_report(rank2, a2sq, b2sq, length_bound=8)
     multiples = report["common_multiples"]
-    assert delta_power_nf(rank2.object_named("x"), 2) in multiples
+    assert delta_power(rank2, rank2.object_named("x"), 2) in multiples
     assert report["least"] == []
     # the divisibility-minimal common multiples are a^4 = Δa and b^4 = Δb
     minimal = [

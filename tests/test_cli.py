@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from garside import Budget, parse_germ, parse_word, validate
+from garside import Budget, GermSyntaxError, parse_germ, parse_word, validate
 from garside.cli import load_germ, main
 from garside.conjugacy import summit_set
 from garside.divided import theta_morphism
@@ -444,7 +444,19 @@ def test_non_utf8_germ_file_is_usage_error(tmp_path, capsys):
     germ_file = tmp_path / "latin1.germ"
     germ_file.write_bytes(b"garside-germ v1\nobject \xff\n")
     err = usage_error(capsys, "validate", "--file", str(germ_file))
-    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 23: invalid start byte\n"
+    assert err == "error: line 2: not UTF-8 (byte 0xff)\n"
+    # Lines are counted as parse_germ counts them: CR LF, CR and U+0085 end one.
+    head = b"garside-germ v1\r\nobject x\xc2\x85simple s : x -> x\rsimple t : x -> x\n"
+    with pytest.raises(GermSyntaxError) as exc:
+        parse_germ((head + b"bogus\n").decode("utf-8"))
+    assert exc.value.line == 5
+    germ_file.write_bytes(head + b"simple \xc3( : x -> x\n")
+    err = usage_error(capsys, "nf", "--file", str(germ_file), "--word", "s")
+    assert err == "error: line 5: not UTF-8 (byte 0xc3)\n"
+    # a bad byte that starts a line, after a blank line
+    germ_file.write_bytes(b"garside-germ v1\n\n\xffobject x\n")
+    err = usage_error(capsys, "validate", "--file", str(germ_file))
+    assert err == "error: line 3: not UTF-8 (byte 0xff)\n"
 
 
 def test_flag_of_another_subcommand_is_usage_error(capsys):

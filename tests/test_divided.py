@@ -28,7 +28,7 @@ from garside.divided import (
     theta_object,
     tuple_name,
 )
-from garside.words import MAX_WORD_FACTORS, NormalForm, delta_power_nf, identity_nf, invert
+from garside.words import MAX_WORD_FACTORS, NormalForm, delta_power, identity_nf, invert
 
 import oracles
 from paper_checks import subdivision_iso
@@ -262,11 +262,11 @@ def test_theta_of_delta_is_garside_power(name, m, request):
         src = dg.object_of(theta_object(germ, x, m))
         img = oracles.theta_simple(dg, germ.delta[x])
         assert img == NormalForm(src, (), m)
-        assert theta_morphism(dg, delta_power_nf(x, 1)) == img
+        assert theta_morphism(dg, delta_power(germ, x, 1)) == img
         before = germ.delta[germ.phi_obj.index(x)]
         want = invert(dg.germ, oracles.theta_simple(dg, before))
-        assert theta_morphism(dg, delta_power_nf(x, -1)) == want
-        assert theta_morphism(dg, delta_power_nf(x, 3)) == NormalForm(src, (), 3 * m)
+        assert theta_morphism(dg, delta_power(germ, x, -1)) == want
+        assert theta_morphism(dg, delta_power(germ, x, 3)) == NormalForm(src, (), 3 * m)
 
 
 def test_theta_morphism_identity_and_greedy(a2, a2_div3):

@@ -1,6 +1,5 @@
 import copy
 import sys
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -9,10 +8,9 @@ from garside import builtins as germ_builtins
 from garside import NormalForm, parse_germ, validate
 from garside.cli import main
 from garside.divided import count_subdivisions
-from garside.germ import BudgetExceeded, GermError, enumerate_subdivisions
+from garside.germ import BudgetExceeded, GermError, enumerate_subdivisions, subdivision_count
 from garside.nerve import (
     NerveSimplex,
-    ZPolynomial,
     atom_graph_dot,
     check_cyclic_identities,
     cover_ball,
@@ -22,7 +20,6 @@ from garside.nerve import (
     fit_z_polynomial,
     garside_dimension,
     nerve_export_lines,
-    nondegenerate_counts,
     special_degeneracy,
 )
 
@@ -164,7 +161,7 @@ def test_cyclic_identities(germ_name, request):
     # every simplex up to dimension 3: Σ_k N_k·C(4, k + 1) of them
     listed = cyclic_identities_on_every_simplex(germ, 3)
     assert listed.ok
-    counts = nondegenerate_counts(germ)
+    counts = fit_z_polynomial(germ)
     assert listed.checked == sum(n * comb(4, k + 1) for k, n in enumerate(counts)) > 0
 
 
@@ -232,33 +229,30 @@ def test_count_consistency_with_divided(a2):
 
 
 def test_fit_z_polynomial_a2(a2):
-    z = fit_z_polynomial(a2, 5)
-    assert z.degree == 3
-    assert [z(m) for m in (1, 2, 3, 4, 5)] == [1, 6, 17, 36, 65]
-    assert z(6) == sum(count_subdivisions(a2, 6).values()) == 106
+    z = fit_z_polynomial(a2)
+    assert z == (1, 5, 6, 2)
+    assert [subdivision_count(z, m) for m in (1, 2, 3, 4, 5)] == [1, 6, 17, 36, 65]
+    assert subdivision_count(z, 6) == sum(count_subdivisions(a2, 6).values()) == 106
 
 
 def test_fit_z_polynomial_trivial_germ():
     germ = validate(parse_germ("garside-germ v1\nobject x\n"))
-    z = fit_z_polynomial(germ, 2)
-    assert z.degree == 0
-    assert z(17) == 1
+    z = fit_z_polynomial(germ)
+    assert z == (1,)
+    assert subdivision_count(z, 17) == 1
 
 
 def test_fit_z_polynomial_rank2(rank2):
-    z = fit_z_polynomial(rank2, 5)
-    assert z.degree <= 3
+    # two objects, each with the strict chains of A₂
+    assert fit_z_polynomial(rank2) == (2, 10, 12, 4)
 
 
-def test_fit_z_polynomial_needs_samples(a2):
-    with pytest.raises(GermError):
-        fit_z_polynomial(a2, 4)
-
-
-def test_z_polynomial_integer_valued():
-    z = ZPolynomial((Fraction(1), Fraction(5), Fraction(6), Fraction(2)))
-    assert z.degree == 3
-    assert all(z(m).denominator == 1 for m in range(1, 10))
+def test_zpoly_needs_dim_plus_two_samples(a2_text, tmp_path, capsys):
+    path = tmp_path / "a2.germ"
+    path.write_text(a2_text, encoding="utf-8")
+    assert main(["zpoly", "--file", str(path), "--samples", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: need at least dim+2 = 5 samples\n")
+    assert main(["zpoly", "--file", str(path), "--samples", "5"]) == 0
 
 
 def test_cover_ball_radius_one(a2):

@@ -1,5 +1,7 @@
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from garside import multiply, normal_form, parse_germ, parse_word, power, validate
@@ -17,10 +19,13 @@ from garside.periodic import (
     is_periodic,
     necklace_conjugator,
 )
-from garside.words import delta_power_nf
+from garside.words import delta_power
 
 import oracles
 from test_normal_form_oracle import CountingDict
+
+# one object, no atoms: Δ is the identity, so every Δ^p is, and so is each loop
+POINT = validate(parse_germ((Path(__file__).parent / "data" / "point.germ").read_text()))
 
 
 def test_is_periodic_examples(a2):
@@ -38,10 +43,11 @@ def test_is_periodic_examples(a2):
 def loop_at_first_object(germ, choices: list[int], k: int):
     """
     A loop γ·Δ^k at object 0: atoms picked by `choices` along a walk, closed
-    by a shortest atom path to the object that Δ^k carries back to 0.
+    by a shortest atom path to the object that Δ^k carries back to 0. A germ
+    with no atoms has no walk, and γ is Δ^k, the identity there.
     """
     word, at = [], 0
-    for c in choices:
+    for c in choices if germ.atoms else []:
         out = [a for a in germ.atoms if germ.simples[a].source == at]
         word.append(out[c % len(out)])
         at = germ.simples[word[-1]].target
@@ -58,20 +64,22 @@ def loop_at_first_object(germ, choices: list[int], k: int):
                     new.append(y)
         frontier = new
     word += paths[goal]
-    return normal_form(germ, word, k) if word else delta_power_nf(0, k)
+    return normal_form(germ, word, k) if word else delta_power(germ, 0, k)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    name=st.sampled_from(["a2", "rank2", "dual3", "chamber3"]),
+    name=st.sampled_from(["a2", "rank2", "dual3", "chamber3", "point"]),
     choices=st.lists(st.integers(0, 7), max_size=5),
     k=st.integers(-2, 2),
     q=st.integers(1, 12),
     near=st.booleans(),
     p=st.integers(-6, 8),
 )
+@example(name="point", choices=[], k=0, q=1, near=False, p=1)
+@example(name="point", choices=[3], k=1, q=5, near=False, p=-1)
 def test_is_periodic_matches_reference(a2, rank2, dual3, chamber3, name, choices, k, q, near, p):
-    germ = {"a2": a2, "rank2": rank2, "dual3": dual3, "chamber3": chamber3}[name]
+    germ = {"a2": a2, "rank2": rank2, "dual3": dual3, "chamber3": chamber3, "point": POINT}[name]
     gamma = loop_at_first_object(germ, choices, k)
     if near:
         # p next to inf(γ^q), where the early bounds are tightest
@@ -176,7 +184,8 @@ def test_necklace_conjugator_a2(a2, a2_div3):
     lhs = multiply(a2_div3.germ, nc.theta_image, nc.conjugator)
     rhs = multiply(a2_div3.germ, nc.conjugator, nc.delta_power)
     assert lhs == rhs
-    assert nc.delta_power == delta_power_nf(
+    assert nc.delta_power == delta_power(
+        a2_div3.germ,
         a2_div3.object_of(tuple(a2.simple_named(n) for n in ("s", "t", "s"))), 4
     )
     assert a2_div3.objects[nc.conjugator.source] == theta_object(a2, 0, 3)

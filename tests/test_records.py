@@ -10,7 +10,7 @@ from garside import Budget, BudgetExceeded, parse_germ, parse_word, validate
 from garside.conjugacy import ConjugacyWitness, FixedGermReport
 from garside.divided import DividedGerm, Ladder
 from garside.germ import GermTable, ObjectRef, SimpleRef
-from garside.nerve import CoverBall, CyclicReport, NerveSimplex, ZPolynomial
+from garside.nerve import CoverBall, CyclicReport, NerveSimplex
 from garside.periodic import (
     BestvinaForm,
     NecklaceConjugation,
@@ -42,7 +42,6 @@ RECORDS = [
     (NerveSimplex, (0, (3,)), ("basepoint", "factors")),
     (CyclicReport, (4, [], []), ("checked", "shift_counterexamples",
                                  "power_counterexamples")),
-    (ZPolynomial, ((1, 2),), ("coefficients",)),
     (CoverBall, (0, 1, [NF], [(0, 1)]), ("basepoint", "radius", "vertices", "edges")),
     (PeriodicityCertificate, (NF, 4, 3), ("gamma", "p", "q")),
     (BestvinaForm, (3, 1, 3, NF), ("s", "k", "q", "conjugator")),

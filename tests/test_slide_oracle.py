@@ -21,7 +21,7 @@ from garside.periodic import (
     bestvina_object,
     necklace_conjugator,
 )
-from garside.words import delta_power_nf, identity_nf
+from garside.words import delta_power, identity_nf
 
 import oracles
 
@@ -70,7 +70,7 @@ def theta_case(draw):
         word.append(draw(st.sampled_from(germ.by_source[at])))
         at = germ.simples[word[-1]].target
     k = draw(st.integers(-2, 2))
-    f = normal_form(germ, word, k) if word else delta_power_nf(source, k)
+    f = normal_form(germ, word, k) if word else delta_power(germ, source, k)
     return divided_germ(name, m), f
 
 

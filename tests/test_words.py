@@ -18,7 +18,7 @@ from garside import (
     validate,
 )
 from garside.words import (
-    delta_power_nf,
+    delta_power,
     is_loop,
     target,
 )
@@ -55,13 +55,13 @@ def test_multiply_examples(a2):
     assert multiply(a2, normal_form(a2, [s]), normal_form(a2, [t])) == NormalForm(0, (st,), 0)
     f = multiply(a2, normal_form(a2, [s], 1), normal_form(a2, [s]))
     assert f == NormalForm(0, (st,), 1)
-    assert multiply(a2, delta_power_nf(0, 1), delta_power_nf(0, -1)) == identity_nf(0)
+    assert multiply(a2, delta_power(a2, 0, 1), delta_power(a2, 0, -1)) == identity_nf(0)
 
 
 def test_invert_examples(a2):
     s, ts = a2.simple_named("s"), a2.simple_named("ts")
     assert invert(a2, normal_form(a2, [s])) == NormalForm(0, (ts,), -1)
-    assert invert(a2, delta_power_nf(0, 1)) == delta_power_nf(0, -1)
+    assert invert(a2, delta_power(a2, 0, 1)) == NormalForm(0, (), -1)
 
 
 def test_equal_examples(a2):
@@ -80,8 +80,8 @@ def test_phi_on_morphism_examples(a2):
 
 def test_power_examples(a2):
     st, s = a2.simple_named("st"), a2.simple_named("s")
-    assert power(a2, normal_form(a2, [st]), 3) == delta_power_nf(0, 2)
-    assert power(a2, normal_form(a2, [s], 1), 3) == delta_power_nf(0, 4)
+    assert power(a2, normal_form(a2, [st]), 3) == NormalForm(0, (), 2)
+    assert power(a2, normal_form(a2, [s], 1), 3) == NormalForm(0, (), 4)
     f = normal_form(a2, [st])
     assert power(a2, f, 0) == identity_nf(0)
     assert power(a2, f, -2) == invert(a2, power(a2, f, 2))
@@ -98,9 +98,9 @@ def test_power_requires_loop(rank2):
 
 def test_target_twists_with_delta(rank2):
     x, y = rank2.object_named("x"), rank2.object_named("y")
-    assert target(rank2, delta_power_nf(x, 1)) == y
-    assert target(rank2, delta_power_nf(x, 2)) == x
-    assert target(rank2, delta_power_nf(x, -1)) == y
+    assert target(rank2, delta_power(rank2, x, 1)) == y
+    assert target(rank2, delta_power(rank2, x, 2)) == x
+    assert target(rank2, delta_power(rank2, x, -1)) == y
     ax = rank2.simple_named("a_x")
     assert is_loop(rank2, normal_form(rank2, [ax], 1))
 
@@ -109,7 +109,7 @@ def test_word_syntax(a2):
     f = parse_word(a2, "@x s t D^-1")
     assert f == NormalForm(0, (a2.simple_named("st"),), -1)
     assert parse_word(a2, "@x") == identity_nf(0)
-    assert parse_word(a2, "@x D^3") == delta_power_nf(0, 3)
+    assert parse_word(a2, "@x D^3") == NormalForm(0, (), 3)
     with pytest.raises(GermError):
         parse_word(a2, "D^2")  # ambiguous without @object
     with pytest.raises(KeyError):
@@ -155,8 +155,8 @@ def test_inf_sup_subadditive(a2):
 def test_naturality_on_simples(a2):
     for s in a2.simples:
         f = normal_form(a2, [s.id])
-        lhs = multiply(a2, f, delta_power_nf(target(a2, f), 1))
-        rhs = multiply(a2, delta_power_nf(f.source, 1), oracles.phi_on_morphism(a2, f, 1))
+        lhs = multiply(a2, f, delta_power(a2, target(a2, f), 1))
+        rhs = multiply(a2, delta_power(a2, f.source, 1), oracles.phi_on_morphism(a2, f, 1))
         assert lhs == rhs
 
 
@@ -172,7 +172,7 @@ words_strategy = st.lists(st.integers(min_value=0, max_value=5), min_size=0, max
 @settings(max_examples=300, deadline=None)
 @given(words_strategy, st.integers(min_value=-2, max_value=2))
 def test_normal_form_is_greedy_hypothesis(word, shift):
-    f = normal_form(A2, word, shift) if word else delta_power_nf(0, shift)
+    f = normal_form(A2, word, shift) if word else delta_power(A2, 0, shift)
     assert oracles.is_greedy(A2, f)
 
 
